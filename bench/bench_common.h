@@ -29,13 +29,9 @@ struct BenchFlags {
   std::size_t requests = 0;  ///< 0 = binary default
   std::size_t reps = 0;      ///< 0 = binary default
   std::string out;           ///< empty = binary default
-  /// Shard counts for the sharded configurations (bench_service only):
-  /// 0 = binary default suite. Parsed from `--shards=N`.
-  std::size_t shards = 0;
-  bool has_shards = false;  ///< binary supports --shards (set by the binary)
 };
 
-/// Parses `--requests=N`, `--reps=R`, `--shards=N`, `--out=PATH`, and the
+/// Parses `--requests=N`, `--reps=R`, `--out=PATH`, and the
 /// legacy positional output path into `flags` (leaving unset fields at
 /// their incoming defaults). `--help`/`-h` prints the usage (with the
 /// binary's baked-in defaults) to stdout and exits 0. Returns false —
@@ -47,20 +43,13 @@ inline bool ParseBenchFlags(int argc, char** argv, const char* binary_name,
   // so the usage omits --requests for it (it would be parsed but unused).
   const bool has_requests = flags.requests > 0;
   const auto usage = [&](std::FILE* out) {
-    std::fprintf(out, "usage: %s %s%s[--reps=R] [--out=PATH]\n", binary_name,
-                 has_requests ? "[--requests=N] " : "",
-                 flags.has_shards ? "[--shards=N] " : "");
+    std::fprintf(out, "usage: %s %s[--reps=R] [--out=PATH]\n", binary_name,
+                 has_requests ? "[--requests=N] " : "");
     if (has_requests) {
       std::fprintf(out,
                    "  --requests=N   workload size per configuration "
                    "(default %zu)\n",
                    flags.requests);
-    }
-    if (flags.has_shards) {
-      std::fprintf(out,
-                   "  --shards=N     serve through a ShardedService with N "
-                   "shards (default:\n"
-                   "                 the built-in suite of shard counts)\n");
     }
     std::fprintf(out,
                  "  --reps=R       repetitions; the best rep is reported "
@@ -86,8 +75,6 @@ inline bool ParseBenchFlags(int argc, char** argv, const char* binary_name,
       ok = positive(arg + 11, flags.requests);
     } else if (std::strncmp(arg, "--reps=", 7) == 0) {
       ok = positive(arg + 7, flags.reps);
-    } else if (flags.has_shards && std::strncmp(arg, "--shards=", 9) == 0) {
-      ok = positive(arg + 9, flags.shards);
     } else if (std::strncmp(arg, "--out=", 6) == 0) {
       flags.out = arg + 6;
     } else if (arg[0] != '-') {

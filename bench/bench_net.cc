@@ -22,17 +22,11 @@
 // (bench_service covers that in-process).
 //
 // Usage:
-//   bench_net [--requests=N] [--shards=N] [--reps=R] [--out=PATH]
-//
-// --shards picks the serving topology behind the socket: the C ABI's
-// num_shards option, so >= 2 publishes a ShardedService (lockstep
-// replicas, reads routed by shard) through the identical wire surface.
-// Without the flag the suite serves both the single-engine stack and a
-// 2-shard stack, so the committed baseline tracks both topologies.
+//   bench_net [--requests=N] [--reps=R] [--out=PATH]
 //
 // CI compares the JSON against the committed BENCH_net.json baseline via
 // bench/check_regression.py: rows are keyed by (scenario, database,
-// shards, clients), queries_per_second may not drop more than the
+// clients), queries_per_second may not drop more than the
 // throughput threshold, and p99_seconds may not grow more than the
 // latency threshold.
 
@@ -62,7 +56,6 @@ constexpr std::size_t kMixPeriod = 5;
 struct Run {
   std::string scenario;
   std::string database;
-  std::size_t shards = 1;  ///< 1 = plain Service, >= 2 = ShardedService
   std::size_t clients = 0;
   std::size_t requests = 0;
   std::size_t enumerates = 0;
@@ -207,14 +200,12 @@ void WriteJson(std::FILE* out, const std::vector<Run>& runs) {
     const Run& run = runs[i];
     std::fprintf(
         out,
-        "  {\"scenario\": \"%s\", \"database\": \"%s\", \"shards\": %zu, "
-        "\"clients\": %zu, "
+        "  {\"scenario\": \"%s\", \"database\": \"%s\", \"clients\": %zu, "
         "\"requests\": %zu, \"enumerates\": %zu, \"decides\": %zu, "
         "\"succeeded\": %zu, \"failed\": %zu, \"wall_seconds\": %.6f, "
         "\"queries_per_second\": %.2f, \"p50_seconds\": %.6f, "
         "\"p99_seconds\": %.6f}%s\n",
-        run.scenario.c_str(), run.database.c_str(), run.shards,
-        run.clients, run.requests,
+        run.scenario.c_str(), run.database.c_str(), run.clients, run.requests,
         run.enumerates, run.decides, run.succeeded, run.failed,
         run.wall_seconds, run.queries_per_second, run.p50_seconds,
         run.p99_seconds, i + 1 < runs.size() ? "," : "");
@@ -229,18 +220,11 @@ int main(int argc, char** argv) {
   flags.requests = kDefaultRequests;
   flags.reps = 1;
   flags.out = "BENCH_net.json";
-  flags.has_shards = true;
   if (!whyprov::bench::ParseBenchFlags(argc, argv, "bench_net", flags)) {
     return 2;
   }
 
   const std::vector<std::size_t> client_counts = {1, 4};
-  // --shards=N pins the topology; the default suite serves the
-  // single-engine stack and a 2-shard stack so the committed baseline
-  // tracks both.
-  const std::vector<std::size_t> shard_counts =
-      flags.shards > 0 ? std::vector<std::size_t>{flags.shards}
-                       : std::vector<std::size_t>{1, 2};
   std::vector<Run> runs;
   for (const SuiteEntry& entry : NetSuite()) {
     auto scenario = entry.make();
@@ -256,67 +240,62 @@ int main(int argc, char** argv) {
       targets.push_back(probe.FactToText(id));
     }
 
-    for (std::size_t shards : shard_counts) {
-      // The served stack: everything from here runs behind the socket.
-      whyprov_options options;
-      whyprov_options_init(&options);
-      options.queue_capacity = 64;
-      options.num_shards = shards;
-      whyprov_service* service = nullptr;
-      char error_message[256];
-      if (whyprov_service_create(scenario.program.ToString().c_str(),
-                                 scenario.database.ToString().c_str(),
-                                 scenario.answer_predicate.c_str(), &options,
-                                 &service, error_message,
-                                 sizeof(error_message)) != WHYPROV_OK) {
-        std::fprintf(stderr, "error: cannot serve %s (%zu shards): %s\n",
-                     entry.scenario.c_str(), shards, error_message);
-        return 1;
-      }
-      whyprov::net::Server server(service);
-      if (auto status = server.Start(0); !status.ok()) {
-        std::fprintf(stderr, "error: cannot start server for %s: %s\n",
-                     entry.scenario.c_str(), status.message().c_str());
-        return 1;
-      }
+    // The served stack: everything from here runs behind the socket.
+    whyprov_options options;
+    whyprov_options_init(&options);
+    options.queue_capacity = 64;
+    whyprov_service* service = nullptr;
+    char error_message[256];
+    if (whyprov_service_create(scenario.program.ToString().c_str(),
+                               scenario.database.ToString().c_str(),
+                               scenario.answer_predicate.c_str(), &options,
+                               &service, error_message,
+                               sizeof(error_message)) != WHYPROV_OK) {
+      std::fprintf(stderr, "error: cannot serve %s: %s\n",
+                   entry.scenario.c_str(), error_message);
+      return 1;
+    }
+    whyprov::net::Server server(service);
+    if (auto status = server.Start(0); !status.ok()) {
+      std::fprintf(stderr, "error: cannot start server for %s: %s\n",
+                   entry.scenario.c_str(), status.message().c_str());
+      return 1;
+    }
 
-      // One true member per target as the Decide candidate, warmed
-      // through the wire itself (also primes the plan cache).
-      std::vector<std::vector<std::string>> candidates(targets.size());
-      {
-        auto warm = whyprov::net::Client::Connect("127.0.0.1", server.port());
-        if (warm.ok()) {
-          for (std::size_t i = 0; i < targets.size(); ++i) {
-            auto outcome = warm.value().Enumerate(targets[i], 1);
-            if (outcome.ok() && outcome.value().ok() &&
-                !outcome.value().final.members.empty()) {
-              candidates[i] = outcome.value().final.members.front();
-            }
+    // One true member per target as the Decide candidate, warmed
+    // through the wire itself (also primes the plan cache).
+    std::vector<std::vector<std::string>> candidates(targets.size());
+    {
+      auto warm = whyprov::net::Client::Connect("127.0.0.1", server.port());
+      if (warm.ok()) {
+        for (std::size_t i = 0; i < targets.size(); ++i) {
+          auto outcome = warm.value().Enumerate(targets[i], 1);
+          if (outcome.ok() && outcome.value().ok() &&
+              !outcome.value().final.members.empty()) {
+            candidates[i] = outcome.value().final.members.front();
           }
         }
       }
-
-      for (std::size_t clients : client_counts) {
-        Run run;
-        run.scenario = entry.scenario;
-        run.database = entry.database;
-        run.shards = shards;
-        run.clients = clients;
-        RunNetWorkload(server.port(), clients, targets, candidates,
-                       flags.requests, flags.reps, run);
-        std::printf(
-            "%-14s %-12s shards=%-2zu clients=%-2zu %8.1f q/s  p50 %.4fs  "
-            "p99 %.4fs  (%zu enum / %zu decide, %zu ok / %zu failed)\n",
-            run.scenario.c_str(), run.database.c_str(), run.shards,
-            run.clients, run.queries_per_second, run.p50_seconds,
-            run.p99_seconds, run.enumerates, run.decides, run.succeeded,
-            run.failed);
-        runs.push_back(std::move(run));
-      }
-
-      server.Stop();
-      whyprov_service_destroy(service);
     }
+
+    for (std::size_t clients : client_counts) {
+      Run run;
+      run.scenario = entry.scenario;
+      run.database = entry.database;
+      run.clients = clients;
+      RunNetWorkload(server.port(), clients, targets, candidates,
+                     flags.requests, flags.reps, run);
+      std::printf(
+          "%-14s %-12s clients=%-2zu %8.1f q/s  p50 %.4fs  "
+          "p99 %.4fs  (%zu enum / %zu decide, %zu ok / %zu failed)\n",
+          run.scenario.c_str(), run.database.c_str(), run.clients,
+          run.queries_per_second, run.p50_seconds, run.p99_seconds,
+          run.enumerates, run.decides, run.succeeded, run.failed);
+      runs.push_back(std::move(run));
+    }
+
+    server.Stop();
+    whyprov_service_destroy(service);
   }
 
   std::FILE* out = std::fopen(flags.out.c_str(), "w");

@@ -1,9 +1,8 @@
 // bench_service: queries/sec and p50/p99 latency of the asynchronous
-// serving front doors — `whyprov::Service` and, with --shards N (or the
-// built-in shard suite), `whyprov::ShardedService` — under a mixed
-// read/delta workload.
+// serving front door, `whyprov::Service`, under a mixed read/delta
+// workload.
 //
-// Each configuration evaluates one scenario database, wraps the engine(s)
+// Each configuration evaluates one scenario database, wraps the engine
 // in a service, and replays a submission workload mixing the three
 // serving verbs: enumerations (the bulk), SAT membership decisions, and
 // ApplyDelta writes that alternately remove and restore one database
@@ -13,28 +12,20 @@
 // full queue makes the submitter wait on the oldest in-flight ticket,
 // exactly like a backpressured client.
 //
-// Sharded rows use fact-range striping (the scenarios are single-
-// predicate): lockstep replicas, reads pinned to their owning shard,
-// deltas evaluated once and adopted by every shard. On a multi-core host
-// the shards spread plan rebuilds and snapshot churn across independent
-// engines; shard scaling is gated self-relatively (2-shard vs 1-shard
-// q/s in the same run) by check_regression.py --min-shard-scaling.
-//
 // Per-request latency is admission -> completion (queue wait + execution)
 // as reported by the ticket's Response; the JSON records the p50/p99
 // quantiles next to the throughput so the regression gate can hold both.
 //
 // Usage:
-//   bench_service [--requests=N] [--shards=N] [--reps=R] [--out=PATH]
+//   bench_service [--requests=N] [--reps=R] [--out=PATH]
 //
 // CI compares the JSON against the committed BENCH_service.json baseline
 // via bench/check_regression.py: queries_per_second may not drop more
-// than the throughput threshold, p99_seconds may not grow more than the
-// latency threshold, and 2-shard q/s must hold the scaling floor.
+// than the throughput threshold, and p99_seconds may not grow more than
+// the latency threshold.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,7 +54,6 @@ struct Run {
   std::string simplify = "fast";
   std::size_t threads_requested = 0;
   std::size_t threads = 0;
-  std::size_t shards = 1;  ///< 1 = plain Service, >1 = ShardedService
   std::size_t requests = 0;
   std::size_t enumerates = 0;
   std::size_t decides = 0;
@@ -111,8 +101,7 @@ double Percentile(std::vector<double> sorted_values, double q) {
 
 /// Admits `request`, riding out a full queue by waiting on the oldest
 /// unfinished ticket (the backpressured-client pattern). Counts refusals.
-template <typename ServiceT>
-whyprov::Ticket SubmitWithBackpressure(ServiceT& service,
+whyprov::Ticket SubmitWithBackpressure(whyprov::Service& service,
                                        const whyprov::Request& request,
                                        std::vector<whyprov::Ticket>& tickets,
                                        std::uint64_t& rejected) {
@@ -129,10 +118,8 @@ whyprov::Ticket SubmitWithBackpressure(ServiceT& service,
   }
 }
 
-/// The mixed read/delta workload against any serving front end (both
-/// expose Submit/engine() with the same shapes).
-template <typename ServiceT>
-void RunMixedWorkload(ServiceT& service, std::size_t total_requests,
+/// The mixed read/delta workload against one service.
+void RunMixedWorkload(whyprov::Service& service, std::size_t total_requests,
                       std::size_t reps, Run& run) {
   // The serving set: sampled answer targets, plus one true member per
   // target as the Decide candidate (warmed through the service itself).
@@ -358,8 +345,7 @@ std::vector<Run> RunFloodConfiguration(const SuiteEntry& entry, bool fair,
 }
 
 Run RunConfiguration(const SuiteEntry& entry, std::size_t threads,
-                     std::size_t shards, std::size_t total_requests,
-                     std::size_t reps) {
+                     std::size_t total_requests, std::size_t reps) {
   auto scenario = entry.make();
   whyprov::EngineOptions engine_options;
   whyprov::ServiceOptions service_options;
@@ -371,37 +357,9 @@ Run RunConfiguration(const SuiteEntry& entry, std::size_t threads,
   run.database = entry.database;
   run.threads_requested = threads;
   run.threads = whyprov::util::ResolveThreadCount(threads);
-  run.shards = shards;
-
-  if (shards <= 1) {
-    whyprov::Service service(scenario.MakeEngine(engine_options),
-                             service_options);
-    RunMixedWorkload(service, total_requests, reps, run);
-    return run;
-  }
-  whyprov::ShardedServiceOptions options;
-  options.num_shards = shards;
-  // The scenarios are single-answer-predicate: stripe the target space.
-  options.policy = whyprov::ShardPolicy::kByFactRange;
-  options.engine = engine_options;
-  options.service = service_options;
-  const auto predicate =
-      scenario.symbols->FindPredicate(scenario.answer_predicate);
-  if (!predicate.ok()) {
-    // Fail loudly: an all-zero row would read as a phantom 100% perf
-    // regression in check_regression.py instead of a setup failure.
-    std::fprintf(stderr, "error: cannot set up %zu-shard %s: %s\n", shards,
-                 entry.scenario.c_str(), predicate.status().message().c_str());
-    std::exit(1);
-  }
-  auto service = whyprov::ShardedService::Create(
-      scenario.program, scenario.database, predicate.value(), options);
-  if (!service.ok()) {
-    std::fprintf(stderr, "error: cannot set up %zu-shard %s: %s\n", shards,
-                 entry.scenario.c_str(), service.status().message().c_str());
-    std::exit(1);
-  }
-  RunMixedWorkload(*service.value(), total_requests, reps, run);
+  whyprov::Service service(scenario.MakeEngine(engine_options),
+                           service_options);
+  RunMixedWorkload(service, total_requests, reps, run);
   return run;
 }
 
@@ -420,7 +378,7 @@ void WriteJson(std::FILE* out, const std::vector<Run>& runs) {
         out,
         "  {\"scenario\": \"%s\", \"database\": \"%s\", "
         "\"simplify\": \"%s\", %s"
-        "\"threads_requested\": %zu, \"threads\": %zu, \"shards\": %zu, "
+        "\"threads_requested\": %zu, \"threads\": %zu, "
         "\"requests\": %zu, \"enumerates\": %zu, \"decides\": %zu, "
         "\"deltas\": %zu, \"succeeded\": %zu, \"failed\": %zu, "
         "\"rejected\": %llu, \"wall_seconds\": %.6f, "
@@ -428,7 +386,7 @@ void WriteJson(std::FILE* out, const std::vector<Run>& runs) {
         "\"p99_seconds\": %.6f}%s\n",
         run.scenario.c_str(), run.database.c_str(), run.simplify.c_str(),
         qos_fields.c_str(), run.threads_requested,
-        run.threads, run.shards, run.requests, run.enumerates, run.decides,
+        run.threads, run.requests, run.enumerates, run.decides,
         run.deltas, run.succeeded, run.failed,
         static_cast<unsigned long long>(run.rejected), run.wall_seconds,
         run.queries_per_second, run.p50_seconds, run.p99_seconds,
@@ -444,41 +402,24 @@ int main(int argc, char** argv) {
   flags.requests = kDefaultRequests;
   flags.reps = 1;
   flags.out = "BENCH_service.json";
-  flags.has_shards = true;
   if (!whyprov::bench::ParseBenchFlags(argc, argv, "bench_service", flags)) {
     return 2;
   }
 
-  // Configurations per scenario: the unsharded baseline at 1 thread and
-  // all cores (the historical rows), then the sharded front door at all
-  // cores for each shard count (the default suite, or the single
-  // --shards=N override).
-  struct Config {
-    std::size_t threads;
-    std::size_t shards;
-  };
-  std::vector<Config> configs = {{1, 1}, {0, 1}};
-  if (flags.shards > 0) {
-    configs.push_back({0, flags.shards});
-  } else {
-    configs.push_back({0, 2});
-    configs.push_back({0, 4});
-  }
-
+  // Configurations per scenario: 1 worker thread and one per core.
   std::vector<Run> runs;
   for (const SuiteEntry& entry : ServiceSuite()) {
-    for (const Config& config : configs) {
-      runs.push_back(RunConfiguration(entry, config.threads, config.shards,
-                                      flags.requests, flags.reps));
+    for (const std::size_t threads : {1, 0}) {
+      runs.push_back(RunConfiguration(entry, threads, flags.requests,
+                                      flags.reps));
       const Run& run = runs.back();
       std::printf(
-          "%-14s %-12s threads=%-2zu shards=%-2zu %8.1f q/s  p50 %.4fs  "
+          "%-14s %-12s threads=%-2zu %8.1f q/s  p50 %.4fs  "
           "p99 %.4fs  (%zu enum / %zu decide / %zu delta, %zu ok / "
           "%zu failed)\n",
           run.scenario.c_str(), run.database.c_str(), run.threads,
-          run.shards, run.queries_per_second, run.p50_seconds,
-          run.p99_seconds, run.enumerates, run.decides, run.deltas,
-          run.succeeded, run.failed);
+          run.queries_per_second, run.p50_seconds, run.p99_seconds,
+          run.enumerates, run.decides, run.deltas, run.succeeded, run.failed);
     }
   }
 

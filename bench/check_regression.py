@@ -3,13 +3,12 @@
 
 Compares a freshly produced benchmark JSON against the committed baseline
 and fails (exit 1) when a throughput-style metric dropped by more than the
-allowed fraction, when an incremental-delta row misses the absolute
-speedup floor the acceptance criteria promise, or when sharded serving
-stops scaling (2-shard q/s vs 1-shard q/s in the *current* run).
+allowed fraction, or when an incremental-delta row misses the absolute
+speedup floor the acceptance criteria promise.
 
 Rows are matched on their identity fields (scenario, database, plan_cache,
-simplify, threads_requested, shards, clients, delta_size, direction —
-whichever are present),
+simplify, threads_requested, clients, delta_size, direction — whichever
+are present),
 so a baseline recorded on a machine with a different core count still
 matches: `threads_requested` (0 = all cores) is stable while the resolved
 `threads` is not.
@@ -28,8 +27,7 @@ Usage:
   check_regression.py --baseline BENCH_incremental.json \
       --current build/BENCH_incremental.json --min-speedup 5
   check_regression.py --baseline BENCH_service.json \
-      --current build/BENCH_service.json --latency-threshold 1.0 \
-      --min-shard-scaling 0.75
+      --current build/BENCH_service.json --latency-threshold 1.0
   check_regression.py --baseline BENCH_durability.json \
       --current build/BENCH_durability.json --min-wal-throughput 0.75
 """
@@ -45,7 +43,6 @@ KEY_FIELDS = (
     "plan_cache",
     "simplify",
     "threads_requested",
-    "shards",
     "clients",
     "delta_size",
     "direction",
@@ -119,47 +116,6 @@ def row_key(row):
 
 def format_key(key):
     return ", ".join(f"{field}={value}" for field, value in key)
-
-
-def check_shard_scaling(current_rows, current_path, min_scaling, failures):
-    """Self-relative shard-scaling gate: within the *current* run, every
-    multi-shard row's q/s must be at least `min_scaling` times the
-    matching 1-shard row's. Self-relative, so the gate holds on any
-    hardware (on a single-core runner sharding cannot scale, only avoid
-    collapsing; raise the factor above 1 on multi-core fleets)."""
-    checks = 0
-    by_group = {}
-    for row in current_rows:
-        if "shards" not in row or "queries_per_second" not in row:
-            continue
-        group = tuple((f, row[f]) for f in ("scenario", "database",
-                                            "threads_requested")
-                      if f in row)
-        by_group.setdefault(group, {})[row["shards"]] = row
-    for group, by_shards in by_group.items():
-        base = by_shards.get(1)
-        if base is None:
-            continue
-        base_qps = metric_value(base, "queries_per_second", current_path)
-        if base_qps <= 0:
-            continue
-        for shards, row in sorted(by_shards.items()):
-            if shards == 1:
-                continue
-            checks += 1
-            qps = metric_value(row, "queries_per_second", current_path)
-            floor = base_qps * min_scaling
-            status = "ok" if qps >= floor else "REGRESSION"
-            print(f"{status:>10}  shard scaling: {shards}-shard "
-                  f"{qps:.2f} q/s vs 1-shard {base_qps:.2f} "
-                  f"(floor {floor:.2f} = {min_scaling:.2f}x)  "
-                  f"[{format_key(group)}]")
-            if qps < floor:
-                failures.append(
-                    f"{shards}-shard q/s is {qps / base_qps:.2f}x the "
-                    f"1-shard q/s (< {min_scaling:.2f}x floor) on "
-                    f"[{format_key(group)}]")
-    return checks
 
 
 def check_wal_throughput(current_rows, current_path, min_ratio, failures):
@@ -309,9 +265,6 @@ def main():
                         help="max allowed fractional p99-latency increase "
                              "(e.g. 1.0 = p99 may at most double); latency "
                              "fields are ignored when unset")
-    parser.add_argument("--min-shard-scaling", type=float, default=None,
-                        help="floor for (N-shard q/s) / (1-shard q/s) "
-                             "within the current file; ignored when unset")
     parser.add_argument("--min-wal-throughput", type=float, default=None,
                         help="floor for (wal-on deltas/s) / (wal-off "
                              "deltas/s) within the current file; ignored "
@@ -404,10 +357,6 @@ def main():
                     f"speedup_vs_rebuild {speedup:.2f}x misses the "
                     f"{args.min_speedup:.2f}x floor on "
                     f"[{format_key(row_key(row))}]")
-
-    if args.min_shard_scaling is not None:
-        checks += check_shard_scaling(current_rows, args.current,
-                                      args.min_shard_scaling, failures)
 
     if args.min_wal_throughput is not None:
         checks += check_wal_throughput(current_rows, args.current,

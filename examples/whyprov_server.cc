@@ -247,7 +247,6 @@ int main(int argc, char** argv) {
   const char* database_path = nullptr;
   const char* answer = nullptr;
   const char* data_dir = nullptr;
-  std::size_t shards = 0;
   int plan_simplify = WHYPROV_SIMPLIFY_DEFAULT;
   bool selfcheck = false;
   for (int i = 1; i < argc; ++i) {
@@ -262,8 +261,6 @@ int main(int argc, char** argv) {
       answer = arg + 9;
     } else if (std::strncmp(arg, "--data-dir=", 11) == 0) {
       data_dir = arg + 11;
-    } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-      shards = static_cast<std::size_t>(std::atol(arg + 9));
     } else if (std::strncmp(arg, "--plan-simplify=", 16) == 0) {
       const char* mode = arg + 16;
       if (std::strcmp(mode, "off") == 0) {
@@ -282,7 +279,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--port=N] [--program=FILE --database=FILE "
-                   "--answer=PREDICATE] [--data-dir=DIR] [--shards=N] "
+                   "--answer=PREDICATE] [--data-dir=DIR] "
                    "[--plan-simplify=off|fast|full] [--selfcheck]\n",
                    argv[0]);
       return 2;
@@ -318,7 +315,6 @@ int main(int argc, char** argv) {
 
   whyprov_options options;
   whyprov_options_init(&options);
-  options.num_shards = shards;
   options.plan_simplify = plan_simplify;
   if (data_dir != nullptr) options.data_dir = data_dir;
   whyprov_service* service = nullptr;

@@ -9,7 +9,6 @@
 #include "datalog/parser.h"
 #include "provenance/proof_dag.h"
 #include "sat/solver_factory.h"
-#include "util/executor.h"
 
 namespace whyprov {
 
@@ -114,18 +113,6 @@ EnumerateRequest EnumerateRequestFor(const ExplainRequest& request) {
   return enumerate;
 }
 
-/// Fills the aggregate batch counters common to both batch flavours.
-void FinishBatchStats(const PlanCacheStats& before,
-                      const PlanCacheStats& after, double wall_seconds,
-                      std::size_t requests, BatchStats& stats) {
-  stats.requests = requests;
-  stats.wall_seconds = wall_seconds;
-  stats.queries_per_second =
-      wall_seconds > 0 ? static_cast<double>(requests) / wall_seconds : 0;
-  stats.plan_cache_hits = after.hits - before.hits;
-  stats.plan_cache_misses = after.misses - before.misses;
-}
-
 }  // namespace
 
 // --- EngineState ---------------------------------------------------------
@@ -136,9 +123,9 @@ EngineState::EngineState(dl::Program program_in, dl::Database database_in,
     : program(std::move(program_in)),
       answer_predicate(answer_predicate_in),
       options(std::move(options_in)),
+      database_size(database_in.facts().size()),
       model(EvaluateTimed(program, database_in, &eval_seconds)),
-      parse_mutex(options.parse_mutex ? options.parse_mutex
-                                      : std::make_shared<util::Mutex>()),
+      parse_mutex(std::make_shared<util::Mutex>()),
       plan_cache(options.plan_cache_capacity),
       accounting(std::make_shared<SnapshotAccounting>()),
       database_(std::move(database_in)) {
@@ -149,12 +136,13 @@ EngineState::EngineState(dl::Program program_in, dl::Database database_in,
 
 EngineState::EngineState(const EngineState& predecessor, dl::Model model_in,
                          std::uint64_t model_version_in,
-                         double eval_seconds_in)
+                         double eval_seconds_in, std::size_t database_size_in)
     : program(predecessor.program),
       answer_predicate(predecessor.answer_predicate),
       options(predecessor.options),
       model_version(model_version_in),
       eval_seconds(eval_seconds_in),
+      database_size(database_size_in),
       model(std::move(model_in)),
       parse_mutex(predecessor.parse_mutex),
       plan_cache(options.plan_cache_capacity,
@@ -440,7 +428,7 @@ PlanCostPeek Engine::PeekPlanCost(
     std::optional<pv::AcyclicityEncoding> acyclicity) const {
   PlanCostPeek peek;
   const auto state = snapshot();
-  peek.database_facts = state->database().facts().size();
+  peek.database_facts = state->database_size;
   util::Result<dl::FactId> resolved =
       ResolveTarget(*state, target, target_text);
   if (!resolved.ok()) return peek;  // unknown target: fallback pricing
@@ -507,9 +495,9 @@ util::Result<PreparedQuery> Engine::Prepare(
   return Prepare(request);
 }
 
-util::Result<Enumeration> Engine::EnumerateOn(
-    std::shared_ptr<const EngineState> state,
-    const EnumerateRequest& request) {
+util::Result<Enumeration> Engine::Enumerate(
+    const EnumerateRequest& request) const {
+  auto state = snapshot();
   util::Result<dl::FactId> target =
       ResolveTarget(*state, request.target, request.target_text);
   if (!target.ok()) return target.status();
@@ -519,14 +507,8 @@ util::Result<Enumeration> Engine::EnumerateOn(
                                     request);
 }
 
-util::Result<Enumeration> Engine::Enumerate(
-    const EnumerateRequest& request) const {
-  return EnumerateOn(snapshot(), request);
-}
-
-util::Result<bool> Engine::DecideOn(
-    const std::shared_ptr<const EngineState>& state,
-    const DecideRequest& request) {
+util::Result<bool> Engine::Decide(const DecideRequest& request) const {
+  const auto state = snapshot();
   util::Result<dl::FactId> target =
       ResolveTarget(*state, request.target, request.target_text);
   if (!target.ok()) return target.status();
@@ -538,10 +520,6 @@ util::Result<bool> Engine::DecideOn(
   auto plan = state->PlanFor(
       target.value(), request.acyclicity.value_or(state->options.acyclicity));
   return ExecuteDecideSat(*state, *plan, request);
-}
-
-util::Result<bool> Engine::Decide(const DecideRequest& request) const {
-  return DecideOn(snapshot(), request);
 }
 
 util::Result<pv::ProvenanceFamily> Engine::Baseline(
@@ -609,11 +587,35 @@ bool PlanTouchedBy(const pv::QueryPlan& plan,
   return false;
 }
 
+/// Counts the live rank-0 facts of `model`: its database.
+std::size_t CountDatabaseFacts(const dl::Model& model) {
+  std::size_t count = 0;
+  for (dl::FactId id = 0; id < model.size(); ++id) {
+    if (model.alive(id) && model.rank(id) == 0) ++count;
+  }
+  return count;
+}
+
 }  // namespace
 
-util::Result<EvaluatedDelta> Engine::EvaluateDelta(
-    const DeltaRequest& request) const {
-  util::Timer eval_timer;
+void Engine::AdoptRecovered(dl::Model model, std::uint64_t version) {
+  const util::MutexLock update_lock(*update_mutex_);
+  const auto old_state = snapshot();
+  const std::size_t database_size = CountDatabaseFacts(model);
+  // The successor constructor inherits program/options/parse_mutex and
+  // starts the plan cache from the predecessor's counters without its
+  // entries — exactly right here, where every old plan is invalid.
+  auto next = std::make_shared<EngineState>(*old_state, std::move(model),
+                                            version, /*eval_seconds_in=*/0,
+                                            database_size);
+  const util::MutexLock lock(*state_mutex_);
+  state_ = std::move(next);
+}
+
+util::Result<DeltaStats> Engine::ApplyDelta(const DeltaRequest& request) {
+  // One delta at a time; readers keep serving the published snapshot.
+  const util::MutexLock update_lock(*update_mutex_);
+  util::Timer total_timer;
   const auto old_state = snapshot();
 
   std::vector<dl::Fact> added = request.added_facts;
@@ -655,62 +657,35 @@ util::Result<EvaluatedDelta> Engine::EvaluateDelta(
     }
   }
 
-  // Semi-naive delta re-evaluation on a snapshot of the model (copy-on-
-  // write, so this is O(touched), not O(model)); the published model is
-  // never mutated, so in-flight executions are safe. The successor's
-  // database view materialises lazily from the model — a delta never
-  // pays O(database) to republish the fact list.
-  EvaluatedDelta result{old_state->model_version,
-                        apply_added.empty() && apply_removed.empty(),
-                        old_state->model.Clone(),
-                        {},
-                        DeltaStats{}};
-  if (result.noop) {
-    result.stats.model_version = old_state->model_version;
-    result.stats.total_seconds = eval_timer.ElapsedSeconds();
-    return result;
-  }
-  dl::DeltaEvalResult delta = dl::IncrementalEvaluator::Apply(
-      old_state->program, result.model, apply_added, apply_removed);
-  result.stats.eval_seconds = eval_timer.ElapsedSeconds();
-  result.stats.facts_added = delta.base_added;
-  result.stats.facts_removed = delta.base_removed;
-  result.stats.facts_derived = delta.derived_added;
-  result.stats.facts_deleted = delta.derived_deleted;
-  result.stats.facts_rederived = delta.rederived;
-  result.stats.facts_touched = delta.touched.size();
-  result.touched = std::move(delta.touched);
-  return result;
-}
-
-util::Result<DeltaStats> Engine::AdoptLocked(const EvaluatedDelta& delta,
-                                             dl::Model model) {
-  util::Timer total_timer;
-  const auto old_state = snapshot();
-  DeltaStats stats = delta.stats;
-
-  if (delta.noop) {
+  DeltaStats stats;
+  if (apply_added.empty() && apply_removed.empty()) {
     // Nothing to do: keep the current snapshot (and its hot plans).
     stats.model_version = old_state->model_version;
     stats.plans_retained = old_state->plan_cache.stats().size;
     stats.total_seconds = total_timer.ElapsedSeconds();
     return stats;
   }
-  if (old_state->model_version != delta.base_version) {
-    return util::Status::InvalidArgument(
-        "AdoptDelta requires lockstep replicas: this engine serves model "
-        "version " +
-        std::to_string(old_state->model_version) +
-        " but the delta was evaluated on version " +
-        std::to_string(delta.base_version));
-  }
 
-  const std::uint64_t version = delta.base_version + 1;
-  stats.plans_retained = 0;
-  stats.plans_invalidated = 0;
-  auto next = std::make_shared<EngineState>(*old_state, std::move(model),
-                                            version,
-                                            delta.stats.eval_seconds);
+  // Semi-naive delta re-evaluation on a snapshot of the model (copy-on-
+  // write, so this is O(touched), not O(model)); the published model is
+  // never mutated, so in-flight executions are safe. The successor's
+  // database view materialises lazily from the model — a delta never
+  // pays O(database) to republish the fact list.
+  dl::Model model = old_state->model.Clone();
+  dl::DeltaEvalResult delta = dl::IncrementalEvaluator::Apply(
+      old_state->program, model, apply_added, apply_removed);
+  stats.eval_seconds = total_timer.ElapsedSeconds();
+  stats.facts_added = delta.base_added;
+  stats.facts_removed = delta.base_removed;
+  stats.facts_derived = delta.derived_added;
+  stats.facts_deleted = delta.derived_deleted;
+  stats.facts_rederived = delta.rederived;
+  stats.facts_touched = delta.touched.size();
+
+  const std::uint64_t version = old_state->model_version + 1;
+  auto next = std::make_shared<EngineState>(
+      *old_state, std::move(model), version, stats.eval_seconds,
+      old_state->database_size + delta.base_added - delta.base_removed);
 
   // Selective plan carry-over: a plan survives iff the delta touched
   // nothing in its downward closure — then its closure sub-hypergraph,
@@ -737,166 +712,6 @@ util::Result<DeltaStats> Engine::AdoptLocked(const EvaluatedDelta& delta,
   stats.model_version = version;
   stats.total_seconds = total_timer.ElapsedSeconds();
   return stats;
-}
-
-util::Result<DeltaStats> Engine::AdoptDelta(const EvaluatedDelta& delta) {
-  const util::MutexLock update_lock(*update_mutex_);
-  // Clone: the caller's EvaluatedDelta stays adoptable by sibling
-  // replicas (structurally shared chunks make this cheap).
-  return AdoptLocked(delta, delta.model.Clone());
-}
-
-void Engine::AdoptRecovered(dl::Model model, std::uint64_t version) {
-  const util::MutexLock update_lock(*update_mutex_);
-  const auto old_state = snapshot();
-  // The successor constructor inherits program/options/parse_mutex and
-  // starts the plan cache from the predecessor's counters without its
-  // entries — exactly right here, where every old plan is invalid.
-  auto next = std::make_shared<EngineState>(*old_state, std::move(model),
-                                            version, /*eval_seconds_in=*/0);
-  const util::MutexLock lock(*state_mutex_);
-  state_ = std::move(next);
-}
-
-util::Result<DeltaStats> Engine::ApplyDelta(const DeltaRequest& request) {
-  // One delta at a time; readers keep serving the published snapshot.
-  const util::MutexLock update_lock(*update_mutex_);
-  util::Timer total_timer;
-  util::Result<EvaluatedDelta> evaluated = EvaluateDelta(request);
-  if (!evaluated.ok()) return evaluated.status();
-  // Single consumer: publish the evaluated model directly, no clone.
-  EvaluatedDelta delta = std::move(evaluated).value();
-  util::Result<DeltaStats> stats = AdoptLocked(delta, std::move(delta.model));
-  if (!stats.ok()) return stats.status();
-  DeltaStats result = std::move(stats).value();
-  result.total_seconds = total_timer.ElapsedSeconds();
-  return result;
-}
-
-// --- batch serving -------------------------------------------------------
-
-namespace {
-
-/// The scaffolding both batch flavours used to duplicate: pin one
-/// snapshot's plan-cache counters, resolve every target up front on the
-/// calling thread (fact-text parsing mutates the shared symbol table, so
-/// it stays out of the fan-out), fan the per-request work across a scoped
-/// `util::Executor` (the calling thread participates as one worker), and
-/// fill the aggregate stats. `run_one(request, outcome)` executes one
-/// already-resolved request.
-template <typename RequestT, typename OutcomeT, typename ResolveT,
-          typename RunOne>
-BatchStats RunBatch(const EngineState& state,
-                    const std::vector<RequestT>& requests,
-                    const BatchOptions& options,
-                    std::vector<OutcomeT>& outcomes,
-                    const ResolveT& resolve, const RunOne& run_one) {
-  outcomes.resize(requests.size());
-  const PlanCacheStats before = state.plan_cache.stats();
-  util::Timer timer;
-
-  std::vector<dl::FactId> targets(requests.size(), dl::kInvalidFact);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    util::Result<dl::FactId> target =
-        resolve(requests[i].target, requests[i].target_text);
-    if (!target.ok()) {
-      outcomes[i].status = target.status();
-    } else {
-      targets[i] = target.value();
-    }
-  }
-
-  const auto run_indexed = [&](std::size_t i) {
-    OutcomeT& outcome = outcomes[i];
-    if (!outcome.status.ok()) return;
-    util::Timer request_timer;
-    RequestT request = requests[i];
-    request.target = targets[i];
-    request.target_text.clear();
-    run_one(request, outcome);
-    outcome.seconds = request_timer.ElapsedSeconds();
-  };
-
-  const std::size_t participants =
-      std::min(util::ResolveThreadCount(options.num_threads),
-               std::max<std::size_t>(requests.size(), 1));
-  if (participants <= 1) {
-    for (std::size_t i = 0; i < requests.size(); ++i) run_indexed(i);
-  } else {
-    util::Executor executor(
-        {/*num_threads=*/participants - 1,
-         /*queue_capacity=*/participants - 1});
-    executor.Map(requests.size(), run_indexed);
-  }
-
-  BatchStats stats;
-  for (const OutcomeT& outcome : outcomes) {
-    if (outcome.status.ok()) {
-      ++stats.succeeded;
-    } else {
-      ++stats.failed;
-    }
-  }
-  FinishBatchStats(before, state.plan_cache.stats(), timer.ElapsedSeconds(),
-                   requests.size(), stats);
-  return stats;
-}
-
-}  // namespace
-
-BatchEnumerateResult Engine::EnumerateBatch(
-    const std::vector<EnumerateRequest>& requests,
-    const BatchOptions& options) const {
-  // One snapshot serves the whole batch: a delta landing mid-batch cannot
-  // mix model versions between the batch's requests.
-  const auto state = snapshot();
-  BatchEnumerateResult result;
-  result.stats = RunBatch(
-      *state, requests, options, result.outcomes,
-      [&state](dl::FactId target, const std::string& text) {
-        return ResolveTarget(*state, target, text);
-      },
-      [&state](const EnumerateRequest& request,
-               BatchEnumerateOutcome& outcome) {
-        util::Result<Enumeration> enumeration = EnumerateOn(state, request);
-        if (!enumeration.ok()) {
-          outcome.status = enumeration.status();
-          return;
-        }
-        outcome.members = enumeration.value().All();
-        outcome.status = enumeration.value().interruption_status();
-        outcome.exhausted = enumeration.value().exhausted();
-        outcome.incomplete = enumeration.value().incomplete();
-        outcome.hit_member_cap = enumeration.value().hit_member_cap();
-        outcome.hit_timeout = enumeration.value().hit_timeout();
-      });
-  for (const BatchEnumerateOutcome& outcome : result.outcomes) {
-    if (outcome.status.ok()) {
-      result.stats.members_emitted += outcome.members.size();
-    }
-  }
-  return result;
-}
-
-BatchDecideResult Engine::DecideBatch(
-    const std::vector<DecideRequest>& requests,
-    const BatchOptions& options) const {
-  const auto state = snapshot();
-  BatchDecideResult result;
-  result.stats = RunBatch(
-      *state, requests, options, result.outcomes,
-      [&state](dl::FactId target, const std::string& text) {
-        return ResolveTarget(*state, target, text);
-      },
-      [&state](const DecideRequest& request, BatchDecideOutcome& outcome) {
-        util::Result<bool> verdict = DecideOn(state, request);
-        if (!verdict.ok()) {
-          outcome.status = verdict.status();
-        } else {
-          outcome.member = verdict.value();
-        }
-      });
-  return result;
 }
 
 }  // namespace whyprov

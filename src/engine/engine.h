@@ -75,17 +75,11 @@ struct EngineOptions {
   /// snapshot_alarm = true. Observability only; pair with
   /// max_snapshot_lag for enforcement. 0 = no alarm.
   std::size_t snapshot_alarm_bytes = 0;
-  /// Serialisation of fact-text parsing/rendering against the symbol
-  /// table. Normally left null (the engine makes its own mutex); a
-  /// multi-engine layer whose engines share one symbol table — the
-  /// sharded service's replicas — must inject one shared mutex here, or
-  /// concurrent parses on two engines would race on the shared table.
-  std::shared_ptr<util::Mutex> parse_mutex;
   /// Durability (consumed by the serving layer, not the engine itself):
   /// directory holding the write-ahead delta log and checkpoints. When
-  /// non-empty, Service/ShardedService open a storage::DurableStore
-  /// there, recover checkpoint + WAL tail on construction, and log
-  /// every committed delta before applying it. Empty = memory-only.
+  /// non-empty, Service opens a storage::DurableStore there, recovers
+  /// checkpoint + WAL tail on construction, and logs every committed
+  /// delta before applying it. Empty = memory-only.
   /// Deltas applied directly through Engine::ApplyDelta (bypassing the
   /// serving layer) are NOT logged.
   std::string data_dir;
@@ -209,21 +203,6 @@ struct Explanation {
   provenance::ProofTree tree;
 };
 
-/// An already-evaluated delta, produced by Engine::EvaluateDelta: the
-/// post-delta model (structurally sharing unchanged storage with the
-/// source snapshot) plus everything a replica needs to publish it —
-/// the touched facts driving selective plan invalidation and the fact
-/// counters. One evaluation can be adopted by every engine of a replica
-/// group (see AdoptDelta), so N lockstep shards pay the semi-naive
-/// propagation once, not N times.
-struct EvaluatedDelta {
-  std::uint64_t base_version = 0;  ///< version the delta was evaluated on
-  bool noop = false;  ///< delta had no effective facts (nothing to adopt)
-  datalog::Model model;  ///< the post-delta model (COW; = base when noop)
-  std::vector<datalog::FactId> touched;  ///< sorted; plan invalidation key
-  DeltaStats stats;  ///< fact counters + eval time (plan fields unset)
-};
-
 /// Side-effect-free cost signals for one query target, read by
 /// Engine::PeekPlanCost for the QoS admission layer (qos/cost.h prices
 /// them). `plan_cached` means a plan for the target is cached at the
@@ -273,13 +252,15 @@ struct EngineState {
               EngineOptions options_in);
 
   /// The successor state ApplyDelta builds: the delta-updated model, the
-  /// bumped version, and a plan cache that starts from the predecessor's
-  /// counters (retained plans are re-inserted by the caller). The parse
-  /// mutex is inherited: all versions share one symbol table, so they
-  /// must share the lock that guards it. The database view is NOT copied:
-  /// it materialises lazily from the model on first access.
+  /// bumped version, its exact database size, and a plan cache that
+  /// starts from the predecessor's counters (retained plans are
+  /// re-inserted by the caller). The parse mutex is inherited: all
+  /// versions share one symbol table, so they must share the lock that
+  /// guards it. The database view is NOT copied: it materialises lazily
+  /// from the model on first access.
   EngineState(const EngineState& predecessor, datalog::Model model_in,
-              std::uint64_t model_version_in, double eval_seconds_in);
+              std::uint64_t model_version_in, double eval_seconds_in,
+              std::size_t database_size_in);
 
   ~EngineState();
 
@@ -309,12 +290,17 @@ struct EngineState {
   // eval_seconds is written while model is initialised, so it must be
   // declared (and thus initialised) before model.
   double eval_seconds = 0;
+  /// Exact number of database facts of this version (always equal to
+  /// database().facts().size()), kept so admission pricing never
+  /// materialises the lazy database view.
+  std::size_t database_size = 0;
   datalog::Model model;
   /// Serialises every engine-surface touch of the shared symbol table:
   /// fact-text parsing (ParseFact interns constants, mutating the table)
-  /// and fact rendering (which reads the interned names). Shared across
-  /// the engine's state versions, which share the table. Callers going
-  /// straight to model().symbols() from several threads are on their own.
+  /// and fact rendering (which reads the interned names). Made once at
+  /// version 0 and shared by every later version, which share the
+  /// table. Callers going straight to model().symbols() from several
+  /// threads must hold it too.
   std::shared_ptr<util::Mutex> parse_mutex;
   mutable PlanCache plan_cache;
   /// Shared across the engine's versions; see SnapshotAccounting.
@@ -561,53 +547,6 @@ class PreparedQuery {
   std::shared_ptr<const provenance::QueryPlan> plan_;
 };
 
-/// Thread-count knob for the batch entry points.
-struct BatchOptions {
-  /// Worker threads fanning the batch out (0 = one per hardware thread).
-  std::size_t num_threads = 0;
-};
-
-/// Aggregated throughput statistics of one batch call.
-struct BatchStats {
-  std::size_t requests = 0;   ///< batch size
-  std::size_t succeeded = 0;  ///< requests that completed without error
-  std::size_t failed = 0;     ///< requests that returned an error status
-  std::size_t members_emitted = 0;  ///< total members (enumerate batches)
-  double wall_seconds = 0;          ///< end-to-end batch wall-clock
-  double queries_per_second = 0;    ///< requests / wall_seconds
-  std::size_t plan_cache_hits = 0;    ///< cache hits during the batch
-  std::size_t plan_cache_misses = 0;  ///< cache misses during the batch
-};
-
-/// Per-request outcome of Engine::EnumerateBatch: the materialised members
-/// (subject to the request budgets) plus the handle flags.
-struct BatchEnumerateOutcome {
-  util::Status status;  ///< per-request failure (target resolution, backend)
-  std::vector<std::vector<datalog::Fact>> members;
-  bool exhausted = false;
-  bool incomplete = false;
-  bool hit_member_cap = false;
-  bool hit_timeout = false;
-  double seconds = 0;  ///< wall-clock spent on this request
-};
-
-struct BatchEnumerateResult {
-  std::vector<BatchEnumerateOutcome> outcomes;  ///< parallel to the requests
-  BatchStats stats;
-};
-
-/// Per-request outcome of Engine::DecideBatch.
-struct BatchDecideOutcome {
-  util::Status status;
-  bool member = false;  ///< meaningful only when status.ok()
-  double seconds = 0;
-};
-
-struct BatchDecideResult {
-  std::vector<BatchDecideOutcome> outcomes;  ///< parallel to the requests
-  BatchStats stats;
-};
-
 /// The unified public facade over the whole reproduction: owns parsing,
 /// semi-naive evaluation, and every provenance service of the paper —
 /// incremental whyUN enumeration (Section 5), membership decision
@@ -621,7 +560,7 @@ struct BatchDecideResult {
 /// entry points in an LRU plan cache; each execution then runs against a
 /// fresh per-request solver. All request methods are const and
 /// thread-safe — hammer one engine from as many threads as you like, or
-/// use EnumerateBatch/DecideBatch to let the engine do the fan-out.
+/// serve it through `whyprov::Service` for queueing and batch fan-out.
 ///
 /// The database is mutable between requests: ApplyDelta applies a
 /// fact-level update by semi-naive delta re-evaluation (never a from-
@@ -698,17 +637,6 @@ class Engine {
   /// whole delta without publishing anything.
   util::Result<DeltaStats> ApplyDelta(const DeltaRequest& request);
 
-  /// The evaluate half of ApplyDelta, without publishing: parses and
-  /// validates the request, runs the semi-naive insertion propagation and
-  /// delete-and-rederive against the *current* snapshot, and returns the
-  /// resulting model plus the touched-fact set. Pure with respect to this
-  /// engine's published state. The caller owns ordering: adopting the
-  /// result is only valid while the engine still serves `base_version`
-  /// (AdoptDelta checks). This is the replication primitive behind
-  /// sharded serving — one shard evaluates, every lockstep replica
-  /// adopts.
-  util::Result<EvaluatedDelta> EvaluateDelta(const DeltaRequest& request) const;
-
   /// Pins the current state snapshot for out-of-band readers (the
   /// storage tier serializes `model` + `model_version` from it without
   /// stalling queries; checkpoint encoding must additionally hold the
@@ -724,15 +652,6 @@ class Engine {
   /// the pre-recovery fact-id space would be wrong). Must run before
   /// the engine starts serving deltas for versions to stay monotonic.
   void AdoptRecovered(datalog::Model model, std::uint64_t version);
-
-  /// The publish half of ApplyDelta: clones `delta.model` (cheap —
-  /// structurally shared chunks), runs this engine's own selective
-  /// plan-cache carry-over against `delta.touched`, and swaps in the new
-  /// snapshot under `base_version + 1`. Fails with kInvalidArgument when
-  /// this engine's published version is not `delta.base_version` — adopt
-  /// requires replicas in lockstep (identical fact-id spaces), which the
-  /// sharded delta lane guarantees by total-ordering deltas.
-  util::Result<DeltaStats> AdoptDelta(const EvaluatedDelta& delta);
 
   // --- answers ----------------------------------------------------------
 
@@ -797,22 +716,6 @@ class Engine {
   /// Reconstructs one member plus a witnessing unambiguous proof tree.
   util::Result<Explanation> Explain(const ExplainRequest& request) const;
 
-  // --- batch serving ----------------------------------------------------
-
-  /// Fans the requests across a worker pool: targets are resolved
-  /// up front, then every request executes a (cached) prepared plan with
-  /// its own solver, honouring its per-request budgets. Outcomes are
-  /// positionally parallel to the requests; `stats` aggregates throughput
-  /// and plan-cache effectiveness over the batch.
-  BatchEnumerateResult EnumerateBatch(
-      const std::vector<EnumerateRequest>& requests,
-      const BatchOptions& options = BatchOptions()) const;
-
-  /// Same fan-out for membership decisions.
-  BatchDecideResult DecideBatch(
-      const std::vector<DecideRequest>& requests,
-      const BatchOptions& options = BatchOptions()) const;
-
  private:
   Engine(datalog::Program program, datalog::Database database,
          datalog::PredicateId answer_predicate, EngineOptions options);
@@ -829,26 +732,6 @@ class Engine {
   static util::Result<datalog::FactId> ResolveTarget(
       const EngineState& state, datalog::FactId target,
       const std::string& target_text);
-
-  /// The request entry points against one pinned snapshot (shared by the
-  /// singular and batch paths, so a delta landing mid-batch cannot mix
-  /// model versions within the batch).
-  static util::Result<Enumeration> EnumerateOn(
-      std::shared_ptr<const EngineState> state,
-      const EnumerateRequest& request);
-  static util::Result<bool> DecideOn(
-      const std::shared_ptr<const EngineState>& state,
-      const DecideRequest& request);
-
-  /// The publish half of a delta, with update_mutex_ already held.
-  /// `model` is the model to publish: AdoptDelta passes a clone (so the
-  /// shared EvaluatedDelta stays adoptable by sibling replicas), while
-  /// ApplyDelta moves its own evaluation in — the single-engine write
-  /// path pays exactly one clone, as before the split. Must not read
-  /// `delta.model` (ApplyDelta's call has moved it out).
-  util::Result<DeltaStats> AdoptLocked(const EvaluatedDelta& delta,
-                                       datalog::Model model)
-      REQUIRES(*update_mutex_);
 
   /// Guards reads/swaps of `state_` (behind unique_ptr to stay movable).
   std::unique_ptr<util::Mutex> state_mutex_ =

@@ -16,7 +16,6 @@
 #include "qos/qos.h"
 #include "qos/tenant_registry.h"
 #include "service/service.h"
-#include "shard/sharded_service.h"
 #include "util/mutex.h"
 #include "util/status.h"
 
@@ -68,28 +67,22 @@ void CopyError(const wp::util::Status& status, char* buffer,
 
 }  // namespace
 
-// The handle behind whyprov_service: exactly one of the two serving
-// front ends, plus the pieces the ABI needs that the C++ API keeps
-// implicit — the shared parse mutex (candidate-fact parsing, proof-tree
-// rendering) reaches the symbol table the engines share.
+// The handle behind whyprov_service: the serving front end plus the
+// piece the ABI needs that the C++ API keeps implicit — the engine's
+// parse mutex, guarding the symbol table the ABI reads and writes
+// itself (candidate-fact parsing, proof-tree rendering).
 struct whyprov_service {
-  std::unique_ptr<wp::Service> single;
-  std::unique_ptr<wp::ShardedService> sharded;
+  std::unique_ptr<wp::Service> service;
   std::shared_ptr<wp::util::Mutex> parse_mutex;
 
-  const wp::Engine& engine() const {
-    return single ? single->engine() : sharded->engine();
-  }
+  const wp::Engine& engine() const { return service->engine(); }
 
   wp::util::Result<wp::Ticket> Submit(
       wp::Request request, std::shared_ptr<wp::MemberSink> sink = nullptr) {
-    return single ? single->Submit(std::move(request), std::move(sink))
-                  : sharded->Submit(std::move(request), std::move(sink));
+    return service->Submit(std::move(request), std::move(sink));
   }
 
-  wp::ServiceStats stats() const {
-    return single ? single->stats() : sharded->stats();
-  }
+  wp::ServiceStats stats() const { return service->stats(); }
 };
 
 // The handle behind whyprov_ticket. `facts`/`fact_ptrs` (and the
@@ -168,6 +161,13 @@ whyprov_status whyprov_service_create(const char* program_text,
   whyprov_options defaults;
   whyprov_options_init(&defaults);
   if (options == nullptr) options = &defaults;
+  if (options->num_shards >= 2) {
+    const auto status = wp::util::Status::InvalidArgument(
+        "num_shards = " + std::to_string(options->num_shards) +
+        " is not supported: a service runs one engine (set 0 or 1)");
+    CopyError(status, error_message, error_message_size);
+    return ToC(status);
+  }
 
   wp::EngineOptions engine_options;
   if (options->plan_cache_capacity > 0) {
@@ -219,40 +219,23 @@ whyprov_status whyprov_service_create(const char* program_text,
   service_options.qos.refill_per_second = options->qos_refill_per_second;
   service_options.qos.burst = options->qos_burst;
 
-  auto handle = std::make_unique<whyprov_service>();
-  if (options->num_shards >= 2) {
-    wp::ShardedServiceOptions sharded_options;
-    sharded_options.num_shards = options->num_shards;
-    sharded_options.engine = engine_options;
-    sharded_options.service = service_options;
-    auto sharded = wp::ShardedService::FromText(
-        program_text, database_text, answer_predicate, sharded_options);
-    if (!sharded.ok()) {
-      CopyError(sharded.status(), error_message, error_message_size);
-      return ToC(sharded.status());
-    }
-    handle->sharded = std::move(sharded).value();
-  } else {
-    // The ABI parses candidate facts itself, so the engine must share
-    // its symbol-table lock with us: inject one instead of letting the
-    // engine make a private one.
-    engine_options.parse_mutex = std::make_shared<wp::util::Mutex>();
-    auto engine = wp::Engine::FromText(program_text, database_text,
-                                       answer_predicate, engine_options);
-    if (!engine.ok()) {
-      CopyError(engine.status(), error_message, error_message_size);
-      return ToC(engine.status());
-    }
-    handle->single = std::make_unique<wp::Service>(std::move(engine).value(),
-                                                   service_options);
+  auto engine = wp::Engine::FromText(program_text, database_text,
+                                     answer_predicate, engine_options);
+  if (!engine.ok()) {
+    CopyError(engine.status(), error_message, error_message_size);
+    return ToC(engine.status());
   }
-  handle->parse_mutex = handle->engine().options().parse_mutex;
+  auto handle = std::make_unique<whyprov_service>();
+  handle->service = std::make_unique<wp::Service>(std::move(engine).value(),
+                                                  service_options);
+  // The ABI parses candidate facts itself, under the engine's own
+  // symbol-table lock. Every model version shares that one lock, so
+  // reading it once here stays right across deltas and recovery.
+  handle->parse_mutex = handle->service->engine().PinSnapshot()->parse_mutex;
   // A requested-but-failed durability tier fails creation: callers that
   // set data_dir asked for persistence, and serving memory-only behind
   // their back would silently lose every delta.
-  const wp::util::Status durability =
-      handle->single ? handle->single->durability_status()
-                     : handle->sharded->durability_status();
+  const wp::util::Status durability = handle->service->durability_status();
   if (!durability.ok()) {
     CopyError(durability, error_message, error_message_size);
     return ToC(durability);
@@ -284,8 +267,8 @@ void whyprov_service_stats(const whyprov_service* service,
   out_stats->retained_snapshot_bytes = stats.retained_snapshot_bytes;
   out_stats->snapshot_evictions = stats.snapshot_evictions;
   out_stats->snapshot_alarm = stats.snapshot_alarm ? 1 : 0;
-  out_stats->version_skew = stats.version_skew;
-  out_stats->num_shards = std::max<std::size_t>(1, stats.shards.size());
+  out_stats->version_skew = 0;
+  out_stats->num_shards = 1;
   out_stats->wal_appends = stats.wal_appends;
   out_stats->wal_bytes = stats.wal_bytes;
   out_stats->checkpoints_written = stats.checkpoints_written;

@@ -2,9 +2,9 @@
 #define WHYPROV_NET_WHYPROV_C_H_
 
 /* whyprov C ABI — a flat, stable C89-callable surface over the serving
- * tier (whyprov::Service / whyprov::ShardedService / whyprov::Ticket /
- * whyprov::MemberStream). This is the layer foreign runtimes and the
- * wire-protocol server (src/net/server.cc) bind against: opaque handles,
+ * tier (whyprov::Service / whyprov::Ticket / whyprov::MemberStream).
+ * This is the layer foreign runtimes and the wire-protocol server
+ * (src/net/server.cc) bind against: opaque handles,
  * integer status codes mirroring util::StatusCode, and an explicit
  * create / submit / wait / cancel / stream-next / destroy lifecycle.
  *
@@ -78,7 +78,9 @@ typedef struct whyprov_options {
   size_t num_threads;        /* worker threads; 0 = one per hw thread */
   size_t queue_capacity;     /* admission bound; 0 = default (256) */
   double default_deadline_seconds; /* applied to deadline-less requests */
-  size_t num_shards;         /* >= 2 serves a ShardedService; else Service */
+  size_t num_shards;         /* 0 or 1; >= 2 fails create with
+                              * WHYPROV_INVALID_ARGUMENT (kept for layout
+                              * compatibility) */
   size_t plan_cache_capacity;     /* 0 = engine default (64) */
   size_t max_snapshot_lag;        /* snapshot GC knob; 0 = never evict */
   size_t snapshot_alarm_bytes;    /* retained-bytes alarm; 0 = off */
@@ -152,15 +154,15 @@ typedef struct whyprov_stats {
   size_t retained_snapshot_bytes;
   uint64_t snapshot_evictions; /* requests failed by the GC policy */
   int snapshot_alarm;          /* 1 while retained bytes exceed the alarm */
-  uint64_t version_skew;       /* sharded only: newest - oldest version */
-  size_t num_shards;           /* 1 for a single-engine service */
+  uint64_t version_skew;       /* always 0; kept for layout compatibility */
+  size_t num_shards;           /* always 1; kept for layout compatibility */
   /* Durability tier counters (all zero when data_dir was not set). */
   uint64_t wal_appends;        /* delta records logged this process */
   uint64_t wal_bytes;          /* framed WAL bytes appended */
   uint64_t checkpoints_written;
   uint64_t recovery_replayed_deltas; /* WAL tail replayed at create */
   /* Plan-time CNF inprocessing counters (all zero when plan_simplify is
-   * off), summed across shards on a sharded service. */
+   * off). */
   uint64_t plans_simplified;         /* plan builds that ran the pass */
   uint64_t simplify_vars_removed;    /* variables removed, cumulative */
   uint64_t simplify_clauses_removed; /* clauses removed, cumulative */

@@ -57,8 +57,7 @@ class CostEstimator {
 /// at admit, refunded at completion — including cancellation, which is
 /// what makes refund-on-cancel a single code path) combined with an
 /// optional token bucket limiting admitted cost per second. Thread-safe
-/// behind its own annotated mutex; one controller is shared across
-/// every shard of a serving stack, like the parse mutex.
+/// behind its own annotated mutex.
 class AdmissionController {
  public:
   explicit AdmissionController(const QosOptions& options);

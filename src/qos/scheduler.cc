@@ -23,12 +23,8 @@ void FairScheduler::Push(std::function<void()> task,
       tenant.weight = weight->second;
     }
   }
-  if (tenant.queued == 0) lane.active.push_back(tag.tenant);
-  auto& shard_queue = tenant.per_shard[tag.shard];
-  if (shard_queue.empty()) tenant.shard_rr.push_back(tag.shard);
-  shard_queue.push_back(std::move(task));
-  tenant.per_shard_cost[tag.shard].push_back(std::max(0.0, tag.cost));
-  ++tenant.queued;
+  if (tenant.queue.empty()) lane.active.push_back(tag.tenant);
+  tenant.queue.push_back(Entry{std::move(task), std::max(0.0, tag.cost)});
   ++lane.queued;
   ++size_;
 }
@@ -54,8 +50,7 @@ std::function<void()> FairScheduler::PopFromLane(Lane& lane) {
   // finitely many rotations.
   while (true) {
     Tenant& tenant = lane.tenants.at(lane.active.front());
-    const std::uint64_t shard = tenant.shard_rr.front();
-    const double cost = tenant.per_shard_cost.at(shard).front();
+    const double cost = tenant.queue.front().cost;
     if (tenant.deficit < cost && lane.active.size() > 1) {
       tenant.deficit += quantum_ * tenant.weight;
       lane.active.push_back(lane.active.front());
@@ -65,21 +60,11 @@ std::function<void()> FairScheduler::PopFromLane(Lane& lane) {
     // A lone tenant is served unconditionally (no competitor to be fair
     // to), keeping its deficit at zero so a later arrival starts even.
     tenant.deficit = std::max(0.0, tenant.deficit - cost);
-    auto& shard_queue = tenant.per_shard.at(shard);
-    std::function<void()> task = std::move(shard_queue.front());
-    shard_queue.pop_front();
-    tenant.per_shard_cost.at(shard).pop_front();
-    tenant.shard_rr.pop_front();
-    if (shard_queue.empty()) {
-      tenant.per_shard.erase(shard);
-      tenant.per_shard_cost.erase(shard);
-    } else {
-      tenant.shard_rr.push_back(shard);  // fair rotation across shards
-    }
-    --tenant.queued;
+    std::function<void()> task = std::move(tenant.queue.front().task);
+    tenant.queue.pop_front();
     --lane.queued;
     --size_;
-    if (tenant.queued == 0) {
+    if (tenant.queue.empty()) {
       tenant.deficit = 0;  // an idle tenant banks no credit
       lane.active.pop_front();
     }

@@ -31,18 +31,12 @@ namespace whyprov::qos {
 ///     its next task pops it (paying the cost), otherwise the rotation
 ///     moves on. Over a saturated window each tenant's served cost is
 ///     proportional to its weight, regardless of how many requests it
-///     floods into the queue.
+///     floods into the queue. Each tenant's own tasks pop in push order.
 ///
-///   * **Shards.** Within a tenant, tasks are bucketed by originating
-///     shard and drained round-robin across the non-empty buckets, so
-///     one hot shard behind a shared ShardedService pool cannot starve
-///     its siblings' queued work.
-///
-/// With only default tags in play (one lane, one tenant, one shard)
-/// every level degenerates to a single FIFO, and the pop order is
-/// *exactly* the push order — the FIFO-equivalence invariant that keeps
-/// default-class behaviour (and the bit-identical transcript tests)
-/// unchanged.
+/// With only default tags in play (one lane, one tenant) every level
+/// degenerates to a single FIFO, and the pop order is *exactly* the
+/// push order — the FIFO-equivalence invariant that keeps default-class
+/// behaviour (and the bit-identical transcript tests) unchanged.
 ///
 /// Like every TaskQueue, the scheduler is externally synchronized by
 /// the owning executor's mutex and holds no lock of its own.
@@ -55,18 +49,18 @@ class FairScheduler : public util::TaskQueue {
   std::size_t size() const override { return size_; }
 
  private:
-  /// Per-(lane, tenant) scheduling state: per-shard FIFOs drained
-  /// round-robin, plus the DRR deficit.
+  /// One queued task with the cost it was pushed at.
+  struct Entry {
+    std::function<void()> task;
+    double cost = 0;
+  };
+
+  /// Per-(lane, tenant) scheduling state: the tenant's FIFO plus the
+  /// DRR deficit.
   struct Tenant {
     double weight = 1.0;
     double deficit = 0;
-    std::size_t queued = 0;
-    /// Shard ids with non-empty FIFOs, in round-robin order.
-    std::deque<std::uint64_t> shard_rr;
-    std::unordered_map<std::uint64_t, std::deque<std::function<void()>>>
-        per_shard;
-    /// Cost of each queued task, FIFO per shard alongside the task.
-    std::unordered_map<std::uint64_t, std::deque<double>> per_shard_cost;
+    std::deque<Entry> queue;
   };
 
   /// One lane: its tenants plus the DRR rotation over the non-empty

@@ -28,6 +28,14 @@ void TenantRegistry::RecordQueued(const std::string& tenant,
   ++RowFor(tenant, lane).queued;
 }
 
+void TenantRegistry::RecordQueueRefused(const std::string& tenant,
+                                        QosClass lane) {
+  const util::MutexLock lock(mutex_);
+  Row& row = RowFor(tenant, lane);
+  --row.queued;
+  ++row.rejected;
+}
+
 void TenantRegistry::RecordRejected(const std::string& tenant,
                                     QosClass lane) {
   const util::MutexLock lock(mutex_);

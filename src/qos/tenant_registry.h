@@ -30,14 +30,20 @@ struct TenantStats {
 };
 
 /// Exact per-(tenant, lane) serving counters plus a bounded ring of
-/// queue-wait samples for the latency percentiles. One registry is
-/// shared by every shard of a serving stack so the rows are exact
-/// across the shared pool; all state sits behind one annotated mutex
-/// (the touch per request is a handful of increments).
+/// queue-wait samples for the latency percentiles. All state sits behind
+/// one annotated mutex (the touch per request is a handful of
+/// increments).
 class TenantRegistry {
  public:
-  /// A request was admitted and queued.
+  /// A request was admitted and is about to be queued. Recorded before
+  /// the executor can run (and complete) it, so RecordCompleted always
+  /// finds the queue entry it retires.
   void RecordQueued(const std::string& tenant, QosClass lane)
+      EXCLUDES(mutex_);
+
+  /// The executor queue refused a request already recorded by
+  /// RecordQueued: undoes that entry and counts the refusal.
+  void RecordQueueRefused(const std::string& tenant, QosClass lane)
       EXCLUDES(mutex_);
 
   /// A request was refused at admission (never queued).

@@ -1,18 +1,36 @@
 #include "service/service.h"
 
-#include <algorithm>
 #include <chrono>
 #include <string>
+#include <thread>
 
 #include "qos/scheduler.h"
-#include "service/serving_internal.h"
 #include "storage/durable_store.h"
 #include "util/timer.h"
 
 namespace whyprov {
 
 namespace dl = whyprov::datalog;
-namespace si = whyprov::serving_internal;
+
+/// The shared per-request state behind a `Ticket`: the request itself,
+/// the streaming sink, the cancellation source whose token the execution
+/// polls, the queue-wait clock, and the completion slot.
+struct Ticket::State {
+  std::uint64_t id = 0;
+  Request request;
+  std::shared_ptr<MemberSink> sink;
+  util::CancellationSource cancel;
+  util::Timer submit_timer;  ///< starts at admission; measures queue wait
+  /// QoS: the cost charged at admission, refunded once at completion
+  /// (success, failure, or cancellation alike — refund-on-cancel is the
+  /// same code path).
+  double estimated_cost = 0;
+
+  mutable util::Mutex mutex;
+  util::CondVar cv;
+  bool done GUARDED_BY(mutex) = false;
+  Response response GUARDED_BY(mutex);
+};
 
 // --- MemberStream --------------------------------------------------------
 
@@ -67,36 +85,6 @@ bool MemberStream::finished() const {
 util::Status MemberStream::final_status() const {
   const util::MutexLock lock(mutex_);
   return status_;
-}
-
-// --- MemberMerge ---------------------------------------------------------
-
-std::optional<std::vector<dl::Fact>> MemberMerge::Pop() {
-  while (current_ < parts_.size()) {
-    // Drains part `current_` to completion before touching the next —
-    // the stable ordering contract. Later parts keep producing into
-    // their own bounded buffers meanwhile (or block on them: that is
-    // their backpressure, not ours).
-    if (auto member = parts_[current_].stream->Pop()) return member;
-    ++current_;
-  }
-  return std::nullopt;
-}
-
-void MemberMerge::Close() {
-  for (Part& part : parts_) part.stream->Close();
-}
-
-void MemberMerge::Wait() const {
-  for (const Part& part : parts_) part.ticket.Wait();
-}
-
-util::Status MemberMerge::final_status() const {
-  for (const Part& part : parts_) {
-    util::Status status = part.stream->final_status();
-    if (!status.ok()) return status;
-  }
-  return util::Status::Ok();
 }
 
 // --- Ticket --------------------------------------------------------------
@@ -156,11 +144,22 @@ bool Ticket::WaitFor(double seconds) const {
 
 namespace {
 
-/// The worker pool of an executor-owning service: the configured fair
-/// scheduler as the queue discipline, or the plain FIFO when QoS fair
-/// queueing is disabled.
-std::shared_ptr<util::Executor> MakeServiceExecutor(
-    const ServiceOptions& options) {
+RequestKind KindOf(const Request& request) {
+  switch (request.op.index()) {
+    case 0:
+      return RequestKind::kEnumerate;
+    case 1:
+      return RequestKind::kDecide;
+    case 2:
+      return RequestKind::kExplain;
+    default:
+      return RequestKind::kApplyDelta;
+  }
+}
+
+/// The worker pool's options: the configured fair scheduler as the queue
+/// discipline, or the plain FIFO when QoS fair queueing is disabled.
+util::Executor::Options ExecutorOptionsFor(const ServiceOptions& options) {
   util::Executor::Options exec;
   exec.num_threads = options.num_threads;
   exec.queue_capacity = options.queue_capacity == 0 ? 1
@@ -168,7 +167,46 @@ std::shared_ptr<util::Executor> MakeServiceExecutor(
   if (options.qos.fair_queueing) {
     exec.queue = std::make_shared<qos::FairScheduler>(options.qos);
   }
-  return std::make_shared<util::Executor>(std::move(exec));
+  return exec;
+}
+
+/// Submit with admission refusals ridden out: while the queue is full,
+/// waits briefly on the oldest unfinished ticket of `outstanding`
+/// (draining the queue is what frees a slot) and retries. Returns the
+/// ticket or a non-retryable admission error.
+util::Result<Ticket> SubmitBlocking(Service& service, const Request& request,
+                                    const std::vector<Ticket>& outstanding) {
+  while (true) {
+    util::Result<Ticket> ticket = service.Submit(request);
+    if (ticket.ok() ||
+        ticket.status().code() != util::StatusCode::kResourceExhausted) {
+      return ticket;
+    }
+    bool waited = false;
+    for (const Ticket& earlier : outstanding) {
+      if (earlier.valid() && !earlier.done()) {
+        earlier.WaitFor(0.01);
+        waited = true;
+        break;
+      }
+    }
+    if (!waited) {
+      // The backlog is someone else's traffic; back off and retry.
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+}
+
+/// The aggregate tail both blocking batch flavours share.
+void FillBatchStats(const PlanCacheStats& before, const PlanCacheStats& after,
+                    double wall_seconds, std::size_t requests,
+                    BatchStats& stats) {
+  stats.requests = requests;
+  stats.wall_seconds = wall_seconds;
+  stats.queries_per_second =
+      wall_seconds > 0 ? static_cast<double>(requests) / wall_seconds : 0;
+  stats.plan_cache_hits = after.hits - before.hits;
+  stats.plan_cache_misses = after.misses - before.misses;
 }
 
 }  // namespace
@@ -176,28 +214,8 @@ std::shared_ptr<util::Executor> MakeServiceExecutor(
 Service::Service(Engine engine, ServiceOptions options)
     : engine_(std::move(engine)),
       options_(options),
-      tenants_(std::make_shared<qos::TenantRegistry>()),
-      admission_(std::make_shared<qos::AdmissionController>(options.qos)),
-      owns_executor_(true),
-      executor_(MakeServiceExecutor(options)) {
-  OpenDurability();
-}
-
-Service::Service(Engine engine, std::shared_ptr<util::Executor> executor,
-                 ServiceOptions options,
-                 std::shared_ptr<qos::TenantRegistry> tenants,
-                 std::shared_ptr<qos::AdmissionController> admission)
-    : engine_(std::move(engine)),
-      options_(options),
-      tenants_(tenants != nullptr
-                   ? std::move(tenants)
-                   : std::make_shared<qos::TenantRegistry>()),
-      admission_(admission != nullptr
-                     ? std::move(admission)
-                     : std::make_shared<qos::AdmissionController>(
-                           options.qos)),
-      owns_executor_(false),
-      executor_(std::move(executor)) {
+      admission_(options.qos),
+      executor_(ExecutorOptionsFor(options)) {
   OpenDurability();
 }
 
@@ -249,16 +267,9 @@ void Service::OpenDurability() {
 }
 
 Service::~Service() {
-  if (owns_executor_) {
-    // Drains every admitted request (their tickets complete) and joins.
-    executor_->Shutdown();
-    return;
-  }
-  // Shared pool: its owner decides when it dies; this service only waits
-  // until none of its own requests remain queued or executing (each
-  // holds a `this` capture).
-  const util::MutexLock lock(outstanding_mutex_);
-  while (outstanding_ != 0) outstanding_cv_.Wait(outstanding_mutex_);
+  // Drains every admitted request (their tickets complete) and joins the
+  // workers, whose tasks hold a `this` capture.
+  executor_.Shutdown();
 }
 
 util::Result<Ticket> Service::Submit(Request request,
@@ -279,82 +290,62 @@ util::Result<Ticket> Service::Submit(Request request,
   const qos::QosClass lane = state->request.qos_class;
   const std::string& tenant = state->request.tenant;
   state->estimated_cost = EstimateCost(state->request);
-  if (util::Status priced =
-          admission_->Admit(tenant, state->estimated_cost);
+  if (util::Status priced = admission_.Admit(tenant, state->estimated_cost);
       !priced.ok()) {
     {
       const util::MutexLock lock(stats_mutex_);
       ++stats_.rejected;
     }
-    tenants_->RecordRejected(tenant, lane);
+    tenants_.RecordRejected(tenant, lane);
     return priced;
   }
 
-  // Count the submission (and stamp the id) before the task can run, so
-  // no observer ever sees completed > submitted; roll back on rejection.
+  // Count the submission (and stamp the id), the tenant's queue entry,
+  // and the group-commit backlog before the task can run: a worker may
+  // finish it before TrySubmit returns, and its Finish must find every
+  // counter it decrements already raised. Roll all three back on
+  // rejection.
   {
     const util::MutexLock lock(stats_mutex_);
     ++stats_.submitted;
     state->id = ++next_id_;
   }
-  {
-    const util::MutexLock lock(outstanding_mutex_);
-    ++outstanding_;
-  }
-  // Counted before the task can run: its Finish may be the burst
-  // boundary that flushes the coalesced WAL fsync.
+  tenants_.RecordQueued(tenant, lane);
   const bool group_commit_delta =
-      wal_group_commit_ && si::KindOf(state->request) == RequestKind::kApplyDelta;
+      wal_group_commit_ && KindOf(state->request) == RequestKind::kApplyDelta;
   if (group_commit_delta) {
     delta_backlog_.fetch_add(1, std::memory_order_relaxed);
   }
   util::TaskTag tag;
   tag.lane = static_cast<std::uint8_t>(lane);
   tag.tenant = tenant;
-  tag.shard = options_.qos_shard;
   tag.cost = state->estimated_cost;
-  // The notify happens under the mutex: with it outside, the destructor
-  // could observe outstanding_ == 0 between a worker's unlock and its
-  // notify_all and free the condition variable the worker is about to
-  // signal.
-  const util::Status admitted = executor_->TrySubmit(
-      [this, state] {
-        Execute(state);
-        const util::MutexLock lock(outstanding_mutex_);
-        --outstanding_;
-        outstanding_cv_.NotifyAll();
-      },
-      tag);
+  const util::Status admitted =
+      executor_.TrySubmit([this, state] { Execute(state); }, tag);
   if (!admitted.ok()) {
     {
       const util::MutexLock lock(stats_mutex_);
       --stats_.submitted;
       ++stats_.rejected;
     }
-    {
-      const util::MutexLock lock(outstanding_mutex_);
-      --outstanding_;
-      outstanding_cv_.NotifyAll();
-    }
     if (group_commit_delta) {
       delta_backlog_.fetch_sub(1, std::memory_order_relaxed);
     }
-    admission_->Release(tenant, state->estimated_cost);
-    tenants_->RecordRejected(tenant, lane);
+    admission_.Release(tenant, state->estimated_cost);
+    tenants_.RecordQueueRefused(tenant, lane);
     return admitted;
   }
-  tenants_->RecordQueued(tenant, lane);
   return Ticket(state);
 }
 
 double Service::EstimateCost(const Request& request) const {
   qos::CostSignals signals;
-  if (si::KindOf(request) == RequestKind::kApplyDelta) {
+  if (KindOf(request) == RequestKind::kApplyDelta) {
     const DeltaRequest& delta = std::get<DeltaRequest>(request.op);
     signals.delta_facts =
         delta.added_facts.size() + delta.added_fact_texts.size() +
         delta.removed_facts.size() + delta.removed_fact_texts.size();
-    signals.database_facts = engine_.database().facts().size();
+    signals.database_facts = engine_.PinSnapshot()->database_size;
     return qos::CostEstimator::Delta(signals);
   }
   PlanCostPeek peek;
@@ -403,13 +394,6 @@ Service::Stream(EnumerateRequest request, std::size_t stream_capacity,
   util::Result<Ticket> ticket = Submit(std::move(unified), stream);
   if (!ticket.ok()) return ticket.status();
   return std::make_pair(std::move(ticket).value(), std::move(stream));
-}
-
-util::Result<std::shared_ptr<MemberMerge>> Service::StreamMany(
-    std::vector<EnumerateRequest> requests, std::size_t stream_capacity,
-    double deadline_seconds) {
-  return si::StreamManyOn(*this, std::move(requests), stream_capacity,
-                          deadline_seconds);
 }
 
 void Service::ExecuteEnumerate(const std::shared_ptr<Ticket::State>& state,
@@ -473,7 +457,7 @@ void Service::Execute(const std::shared_ptr<Ticket::State>& state) {
     ++started_;
   }
   Response response;
-  response.kind = si::KindOf(state->request);
+  response.kind = KindOf(state->request);
   response.queue_seconds = state->submit_timer.ElapsedSeconds();
   const util::CancellationToken token = state->cancel.token();
   util::Timer exec_timer;
@@ -613,25 +597,48 @@ void Service::Finish(const std::shared_ptr<Ticket::State>& state,
   // The single release point for the admission charge: success, failure,
   // and cancellation all pass through here exactly once, so a cancelled
   // request's budget is refunded the moment its ticket goes terminal.
-  admission_->Release(state->request.tenant, state->estimated_cost);
+  admission_.Release(state->request.tenant, state->estimated_cost);
   const bool cancelled =
       response.status.code() == util::StatusCode::kCancelled ||
       response.status.code() == util::StatusCode::kDeadlineExceeded;
-  tenants_->RecordCompleted(state->request.tenant, state->request.qos_class,
-                            cancelled, state->estimated_cost,
-                            response.queue_seconds);
+  tenants_.RecordCompleted(state->request.tenant, state->request.qos_class,
+                           cancelled, state->estimated_cost,
+                           response.queue_seconds);
   // Group commit: the delta that empties the backlog closes the burst
   // and flushes the one coalesced fsync covering all of it.
   if (wal_group_commit_ &&
-      si::KindOf(state->request) == RequestKind::kApplyDelta &&
+      KindOf(state->request) == RequestKind::kApplyDelta &&
       delta_backlog_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     (void)store_->SyncWal();
   }
   {
     const util::MutexLock lock(stats_mutex_);
-    si::CountOutcome(response, stats_);
+    ++stats_.completed;
+    switch (response.status.code()) {
+      case util::StatusCode::kOk:
+        ++stats_.succeeded;
+        break;
+      case util::StatusCode::kCancelled:
+        ++stats_.cancelled;
+        break;
+      case util::StatusCode::kDeadlineExceeded:
+        ++stats_.deadline_exceeded;
+        break;
+      default:
+        ++stats_.failed;
+        break;
+    }
+    stats_.members_delivered += response.members_emitted;
   }
-  si::CompleteTicket(state, std::move(response));
+  // Complete the sink *before* publishing the response: a consumer woken
+  // by the ticket must find its stream already terminal.
+  if (state->sink) state->sink->OnComplete(response.status);
+  {
+    const util::MutexLock lock(state->mutex);
+    state->response = std::move(response);
+    state->done = true;
+  }
+  state->cv.NotifyAll();
 }
 
 ServiceStats Service::stats() const {
@@ -639,14 +646,12 @@ ServiceStats Service::stats() const {
   {
     const util::MutexLock lock(stats_mutex_);
     snapshot = stats_;
-    // Derived from the counters (not the executor, which may be shared
-    // with sibling shards): exact per-service gauges either way.
     snapshot.queue_depth =
         static_cast<std::size_t>(stats_.submitted - started_);
     snapshot.in_flight =
         static_cast<std::size_t>(started_ - stats_.completed);
   }
-  snapshot.tenants = tenants_->Snapshot();
+  snapshot.tenants = tenants_.Snapshot();
   snapshot.model_version = engine_.model_version();
   const PlanCacheStats plans = engine_.plan_cache_stats();
   snapshot.plans_simplified = plans.plans_simplified;
@@ -676,14 +681,80 @@ ServiceStats Service::stats() const {
 
 BatchEnumerateResult Service::EnumerateBatch(
     const std::vector<EnumerateRequest>& requests) {
-  return si::ServeEnumerateBatch(
-      *this, [this] { return engine_.plan_cache_stats(); }, requests);
+  const PlanCacheStats before = engine_.plan_cache_stats();
+  util::Timer timer;
+  std::vector<Ticket> tickets(requests.size());
+  BatchEnumerateResult result;
+  result.outcomes.resize(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    Request request;
+    request.op = requests[i];
+    util::Result<Ticket> ticket = SubmitBlocking(*this, request, tickets);
+    if (!ticket.ok()) {
+      result.outcomes[i].status = ticket.status();
+      continue;
+    }
+    tickets[i] = std::move(ticket).value();
+  }
+  // Gather positionally: stable ordering whatever the execution order.
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    BatchEnumerateOutcome& outcome = result.outcomes[i];
+    if (tickets[i].valid()) {
+      Response response = tickets[i].Take();  // move the members, not copy
+      outcome.status = std::move(response.status);
+      outcome.members = std::move(response.members);
+      outcome.exhausted = response.exhausted;
+      outcome.incomplete = response.incomplete;
+      outcome.hit_member_cap = response.hit_member_cap;
+      outcome.hit_timeout = response.hit_timeout;
+      outcome.seconds = response.exec_seconds;
+    }
+    if (outcome.status.ok()) {
+      ++result.stats.succeeded;
+      result.stats.members_emitted += outcome.members.size();
+    } else {
+      ++result.stats.failed;
+    }
+  }
+  FillBatchStats(before, engine_.plan_cache_stats(), timer.ElapsedSeconds(),
+                 requests.size(), result.stats);
+  return result;
 }
 
 BatchDecideResult Service::DecideBatch(
     const std::vector<DecideRequest>& requests) {
-  return si::ServeDecideBatch(
-      *this, [this] { return engine_.plan_cache_stats(); }, requests);
+  const PlanCacheStats before = engine_.plan_cache_stats();
+  util::Timer timer;
+  std::vector<Ticket> tickets(requests.size());
+  BatchDecideResult result;
+  result.outcomes.resize(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    Request request;
+    request.op = requests[i];
+    util::Result<Ticket> ticket = SubmitBlocking(*this, request, tickets);
+    if (!ticket.ok()) {
+      result.outcomes[i].status = ticket.status();
+      continue;
+    }
+    tickets[i] = std::move(ticket).value();
+  }
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    BatchDecideOutcome& outcome = result.outcomes[i];
+    if (tickets[i].valid()) {
+      const Response& response = tickets[i].Wait();
+      outcome.status = response.status;
+      outcome.member = response.member;
+      outcome.seconds = response.exec_seconds;
+    }
+    if (outcome.status.ok()) {
+      ++result.stats.succeeded;
+    } else {
+      ++result.stats.failed;
+    }
+  }
+  FillBatchStats(before, engine_.plan_cache_stats(), timer.ElapsedSeconds(),
+                 requests.size(), result.stats);
+  return result;
 }
 
 }  // namespace whyprov

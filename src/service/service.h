@@ -151,14 +151,12 @@ class MemberStream final : public MemberSink {
 /// A future-style handle on one submitted request. Copyable (shares the
 /// underlying state); the service keeps a reference until the request
 /// finished, so dropping every Ticket does not abandon the work — call
-/// Cancel() for that. All methods are thread-safe. Tickets are minted by
-/// every serving front door (`Service`, `ShardedService`) — the state and
-/// completion plumbing are shared, not duplicated per front end.
+/// Cancel() for that. All methods are thread-safe. Minted by
+/// `Service::Submit`.
 class Ticket {
  public:
-  /// The shared per-request state. Declared here so the serving front
-  /// ends' shared plumbing can name it; defined in serving_internal.h,
-  /// which only the serving .cc files include — not part of the API.
+  /// The shared per-request state (defined in service.cc; not part of
+  /// the API).
   struct State;
 
   /// An empty ticket (valid() == false); Submit returns connected ones.
@@ -193,51 +191,51 @@ class Ticket {
 
  private:
   friend class Service;
-  friend class ShardedService;
   explicit Ticket(std::shared_ptr<State> shared)
       : shared_(std::move(shared)) {}
 
   std::shared_ptr<State> shared_;
 };
 
-/// Ordered gather over several member streams: the pull side of the
-/// scatter/gather read path. Each part is one enumeration (a ticket plus
-/// its bounded `MemberStream`); `Pop` yields every member of part 0, then
-/// every member of part 1, and so on — *stable member ordering* in
-/// request order, independent of which worker (or, under sharding, which
-/// shard) produced what and how the executions interleaved. Backpressure
-/// is the parts' own: each sub-stream's bounded buffer blocks its
-/// producer, so total buffered memory is O(parts × capacity) regardless
-/// of family sizes. Single consumer, like MemberStream.
-class MemberMerge {
- public:
-  struct Part {
-    Ticket ticket;
-    std::shared_ptr<MemberStream> stream;
-  };
+/// Aggregated throughput statistics of one batch call.
+struct BatchStats {
+  std::size_t requests = 0;   ///< batch size
+  std::size_t succeeded = 0;  ///< requests that completed without error
+  std::size_t failed = 0;     ///< requests that returned an error status
+  std::size_t members_emitted = 0;  ///< total members (enumerate batches)
+  double wall_seconds = 0;          ///< end-to-end batch wall-clock
+  double queries_per_second = 0;    ///< requests / wall_seconds
+  std::size_t plan_cache_hits = 0;    ///< cache hits during the batch
+  std::size_t plan_cache_misses = 0;  ///< cache misses during the batch
+};
 
-  explicit MemberMerge(std::vector<Part> parts) : parts_(std::move(parts)) {}
+/// Per-request outcome of Service::EnumerateBatch: the materialised
+/// members (subject to the request budgets) plus the handle flags.
+struct BatchEnumerateOutcome {
+  util::Status status;  ///< per-request failure (target resolution, backend)
+  std::vector<std::vector<datalog::Fact>> members;
+  bool exhausted = false;
+  bool incomplete = false;
+  bool hit_member_cap = false;
+  bool hit_timeout = false;
+  double seconds = 0;  ///< wall-clock spent executing this request
+};
 
-  /// The next member in request order, or nullopt once every part
-  /// finished (or Close ran). Blocks on the current part's stream.
-  std::optional<std::vector<datalog::Fact>> Pop();
+struct BatchEnumerateResult {
+  std::vector<BatchEnumerateOutcome> outcomes;  ///< parallel to the requests
+  BatchStats stats;
+};
 
-  /// Abandons the whole gather mid-flight: closes every sub-stream, so
-  /// each producer's next OnMember returns false and its request ends
-  /// kCancelled — one call cancels the full scatter.
-  void Close();
+/// Per-request outcome of Service::DecideBatch.
+struct BatchDecideOutcome {
+  util::Status status;
+  bool member = false;  ///< meaningful only when status.ok()
+  double seconds = 0;
+};
 
-  /// Blocks until every part's response is available.
-  void Wait() const;
-
-  /// First non-ok final status across the parts (Ok while clean).
-  util::Status final_status() const;
-
-  const std::vector<Part>& parts() const { return parts_; }
-
- private:
-  std::vector<Part> parts_;
-  std::size_t current_ = 0;  ///< single consumer, like MemberStream::Pop
+struct BatchDecideResult {
+  std::vector<BatchDecideOutcome> outcomes;  ///< parallel to the requests
+  BatchStats stats;
 };
 
 /// Serving-policy knobs of a Service.
@@ -254,28 +252,6 @@ struct ServiceOptions {
   /// under which default-class traffic behaves exactly like the pre-QoS
   /// FIFO.
   qos::QosOptions qos;
-  /// The shard this service serves inside a ShardedService pool — the
-  /// scheduler's shard-fairness key. Single-engine services leave it 0.
-  std::size_t qos_shard = 0;
-};
-
-/// One shard's row inside a sharded service's `ServiceStats` — the
-/// per-shard serving health a fleet dashboard needs: its share of the
-/// (shared) queue, its throughput, the model version it currently serves
-/// (versions legitimately skew when delta fan-out prunes a shard), its
-/// delta fan-out counters, and its snapshot retention.
-struct ShardStats {
-  std::size_t queue_depth = 0;   ///< this shard's admitted, unstarted
-  std::size_t in_flight = 0;     ///< executing on this shard right now
-  std::uint64_t submitted = 0;   ///< requests routed to this shard
-  std::uint64_t completed = 0;
-  std::uint64_t succeeded = 0;
-  double queries_per_second = 0;  ///< completed / seconds since start
-  std::uint64_t model_version = 0;  ///< version this shard serves now
-  std::uint64_t deltas_applied = 0;  ///< deltas whose fan-out included it
-  std::uint64_t deltas_skipped = 0;  ///< deltas pruned before this shard
-  std::size_t retained_snapshots = 0;  ///< live model versions (pinned)
-  std::size_t retained_snapshot_bytes = 0;  ///< approximate, COW-chunk based
 };
 
 /// Point-in-time serving counters (cumulative since construction).
@@ -291,11 +267,11 @@ struct ServiceStats {
   std::size_t queue_depth = 0;   ///< admitted, unstarted right now
   std::size_t in_flight = 0;     ///< executing right now
   double queries_per_second = 0;  ///< completed / seconds since start
-  std::uint64_t model_version = 0;  ///< newest version served (max shard)
+  std::uint64_t model_version = 0;  ///< version the engine serves now
   /// Snapshot retention (ROADMAP "Snapshot GC & memory observability"):
   /// live model versions — the published one plus those pinned by
   /// in-flight tickets — and their approximate bytes from the COW chunk
-  /// stats. Sums over shards for a sharded service.
+  /// stats.
   std::size_t retained_snapshots = 0;
   std::size_t retained_snapshot_bytes = 0;
   /// Requests failed by the snapshot GC policy because their pinned
@@ -303,14 +279,9 @@ struct ServiceStats {
   /// EngineOptions::max_snapshot_lag deltas (they end kResourceExhausted).
   std::uint64_t snapshot_evictions = 0;
   /// True while retained_snapshot_bytes exceeds the engine's
-  /// EngineOptions::snapshot_alarm_bytes threshold (any shard's, for a
-  /// sharded service). Always false when the threshold is 0.
+  /// EngineOptions::snapshot_alarm_bytes threshold. Always false when
+  /// the threshold is 0.
   bool snapshot_alarm = false;
-  /// Sharded services only: spread between the newest and oldest model
-  /// version across shards (non-zero when delta fan-out pruning lets
-  /// untouched shards keep serving an older version), and one row per
-  /// shard. Empty / zero on a single-engine service.
-  std::uint64_t version_skew = 0;
   /// Durability tier (ROADMAP "Durability"): activity of the stack's
   /// write-ahead delta log and snapshot checkpoints. All zero when the
   /// engine options carry no data_dir (memory-only serving).
@@ -319,17 +290,14 @@ struct ServiceStats {
   std::uint64_t checkpoints_written = 0;
   /// WAL-tail records replayed during recovery at construction.
   std::uint64_t recovery_replayed_deltas = 0;
-  /// Plan-time CNF inprocessing (EngineOptions::plan_simplify), summed
-  /// over the plan cache(s) — across shards on a sharded stack. All zero
-  /// when the knob is off.
+  /// Plan-time CNF inprocessing (EngineOptions::plan_simplify), counted
+  /// by the plan cache. All zero when the knob is off.
   std::uint64_t plans_simplified = 0;
   std::uint64_t simplify_vars_removed = 0;
   std::uint64_t simplify_clauses_removed = 0;
   std::uint64_t simplify_micros = 0;
-  std::vector<ShardStats> shards;
   /// Multi-tenant QoS: one row per (tenant, lane) that ever submitted,
-  /// sorted by tenant then lane. Exact across shards (the registry is
-  /// shared by the whole serving stack).
+  /// sorted by tenant then lane.
   std::vector<qos::TenantStats> tenants;
 };
 
@@ -356,27 +324,11 @@ struct ServiceStats {
 ///     in-flight reads keep serving the snapshot they started on, so a
 ///     submitted delta never waits for (or tears) running enumerations.
 ///
-/// The engine's direct `EnumerateBatch`/`DecideBatch` calls remain for
-/// offline bulk work, but serving traffic should come through here.
 /// Thread-safe; create once, share freely. Destruction drains admitted
 /// requests (their tickets complete) before joining the workers.
 class Service {
  public:
   explicit Service(Engine engine, ServiceOptions options = ServiceOptions());
-
-  /// Serves `engine` on a *caller-owned* worker pool instead of creating
-  /// one: `ShardedService` uses this so N shard services sit behind one
-  /// submission queue and one admission bound, rather than duplicating
-  /// the queue/worker-pool/deadline plumbing per shard. The caller must
-  /// keep the executor alive and drained past this service's destruction
-  /// (the destructor waits for this service's own requests, then leaves
-  /// the pool running). `tenants`/`admission` (optional) share one
-  /// registry and one admission controller across every service on the
-  /// pool, like the parse mutex — null creates private ones.
-  Service(Engine engine, std::shared_ptr<util::Executor> executor,
-          ServiceOptions options = ServiceOptions(),
-          std::shared_ptr<qos::TenantRegistry> tenants = nullptr,
-          std::shared_ptr<qos::AdmissionController> admission = nullptr);
 
   ~Service();
 
@@ -396,20 +348,11 @@ class Service {
       EnumerateRequest request, std::size_t stream_capacity = 8,
       double deadline_seconds = 0);
 
-  /// Submits every enumeration with its own bounded stream and returns a
-  /// `MemberMerge` gathering them in request order (stable member
-  /// ordering; per-part backpressure). Fails — cancelling the parts
-  /// already admitted — if admission refuses a part; size the queue for
-  /// the fan-out.
-  util::Result<std::shared_ptr<MemberMerge>> StreamMany(
-      std::vector<EnumerateRequest> requests, std::size_t stream_capacity = 8,
-      double deadline_seconds = 0);
-
   /// Blocking conveniences: submit a whole batch, wait for every ticket,
-  /// and repackage the responses in the engine's batch result shapes.
-  /// Unlike the engine's own batch calls these interleave with any other
-  /// traffic on the service (and respect its admission bound: requests
-  /// are fed as the queue drains rather than rejected).
+  /// and gather the responses positionally into a batch result. The
+  /// requests interleave with any other traffic on the service and
+  /// respect its admission bound: they are fed as the queue drains
+  /// rather than rejected.
   BatchEnumerateResult EnumerateBatch(
       const std::vector<EnumerateRequest>& requests);
   BatchDecideResult DecideBatch(const std::vector<DecideRequest>& requests);
@@ -420,7 +363,7 @@ class Service {
   const Engine& engine() const { return engine_; }
 
   ServiceStats stats() const;
-  std::size_t num_threads() const { return executor_->num_threads(); }
+  std::size_t num_threads() const { return executor_.num_threads(); }
   const ServiceOptions& options() const { return options_; }
 
   /// Durability health: Ok when the engine options carry no data_dir or
@@ -431,8 +374,6 @@ class Service {
   util::Status durability_status() const { return durability_status_; }
 
  private:
-  friend class ShardedService;  ///< drives the shard engines' delta path
-
   /// Opens the DurableStore named by the engine options' data_dir (no-op
   /// when empty) and recovers: restore the checkpoint if one decodes,
   /// then replay the WAL tail through the normal delta path. Runs in the
@@ -466,11 +407,9 @@ class Service {
       std::optional<provenance::AcyclicityEncoding> acyclicity) const;
 
   Engine engine_;
-  /// The durability tier (null = memory-only). Opened from the engine
-  /// options' data_dir by the owning constructor; a shard service inside
-  /// a ShardedService sees a cleared data_dir (the group shares one
-  /// store) and opens nothing. Declared before the executor so workers
-  /// never outlive it.
+  /// The durability tier (null = memory-only), opened from the engine
+  /// options' data_dir by the constructor. Declared before the executor
+  /// so workers never outlive it.
   std::unique_ptr<storage::DurableStore> store_;
   util::Status durability_status_;  ///< set once in OpenDurability
   /// Group commit is active (wal_fsync + wal_group_commit, store open):
@@ -487,21 +426,12 @@ class Service {
   /// Requests whose execution began.
   std::uint64_t started_ GUARDED_BY(stats_mutex_) = 0;
   std::uint64_t next_id_ GUARDED_BY(stats_mutex_) = 0;
-  /// Counts this service's requests living in the executor (queued or
-  /// executing); a shared-pool service must drain to zero before dying.
-  mutable util::Mutex outstanding_mutex_;
-  util::CondVar outstanding_cv_;
-  std::size_t outstanding_ GUARDED_BY(outstanding_mutex_) = 0;
   /// QoS: per-(tenant, lane) observability and cost-based admission.
-  /// Shared across a ShardedService's shard services; private otherwise.
-  std::shared_ptr<qos::TenantRegistry> tenants_;
-  std::shared_ptr<qos::AdmissionController> admission_;
-  const bool owns_executor_;
-  /// Declared last: workers touch everything above, so an owned executor
-  /// must be destroyed (drained + joined) first. A shared executor
-  /// outlives this service; the destructor only drains this service's
-  /// own outstanding requests.
-  std::shared_ptr<util::Executor> executor_;
+  qos::TenantRegistry tenants_;
+  qos::AdmissionController admission_;
+  /// Declared last: workers touch everything above, so the executor must
+  /// be drained and joined first (the destructor shuts it down).
+  util::Executor executor_;
 };
 
 }  // namespace whyprov

@@ -9,17 +9,13 @@
 //   model.ckpt  — the latest checkpoint (storage/checkpoint.h),
 //                 replaced atomically by temp-file + rename
 //
-// Ownership: exactly one serving stack opens a store. A standalone
-// Service opens it from its engine's options; a ShardedService owns
-// one store for the whole group (its inner per-shard Services see a
-// cleared data_dir and open nothing).
+// Ownership: exactly one serving stack opens a store: the Service,
+// from its engine's options.
 //
 // Ordering: WAL append order must equal engine apply order, or replay
-// diverges. The single (unsharded) Service executes deltas on
-// arbitrary worker threads, so the store exposes `order_mutex()` and
-// the owner holds it across {AppendDelta -> engine apply ->
-// MaybeWriteCheckpoint}. The sharded delta lane is already a single
-// serialization point but takes the same lock for uniformity.
+// diverges. The Service executes deltas on arbitrary worker threads,
+// so the store exposes `order_mutex()` and the owner holds it across
+// {AppendDelta -> engine apply -> MaybeWriteCheckpoint}.
 
 #include <atomic>
 #include <cstdint>

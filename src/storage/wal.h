@@ -24,8 +24,7 @@
 // store the sequence they fold, and recovery replays only the tail
 // beyond it. The log is never truncated or compacted — a full-log
 // replay from the base state is always a valid (if slower) recovery,
-// which is what keeps by-predicate sharded recovery and serving-mode
-// changes correct without per-mode checkpoint formats.
+// which is what keeps a corrupt checkpoint recoverable.
 //
 // Torn tails are expected: Open() scans the file, keeps the longest
 // valid record prefix, and truncates the rest (a crash mid-append

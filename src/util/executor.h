@@ -2,7 +2,6 @@
 #define WHYPROV_UTIL_EXECUTOR_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -28,7 +27,7 @@ inline std::size_t ResolveThreadCount(std::size_t requested) {
 }
 
 /// Scheduling identity attached to a submitted task. The default tag
-/// (interactive lane, empty tenant, shard 0, unit cost) is what every
+/// (interactive lane, empty tenant, unit cost) is what every
 /// pre-QoS caller implicitly submits, and a scheduler seeing only
 /// default tags must pop in exact FIFO order — that equivalence is an
 /// architecture invariant (docs/ARCHITECTURE.md) and is tested in
@@ -38,8 +37,6 @@ struct TaskTag {
   std::uint8_t lane = 0;
   /// Tenant / client identity; "" is the shared default tenant.
   std::string tenant;
-  /// Originating shard, for fair dequeue across a shared shard pool.
-  std::uint64_t shard = 0;
   /// Estimated execution cost in abstract units (>= 0).
   double cost = 1.0;
 };
@@ -83,18 +80,11 @@ class FifoTaskQueue : public TaskQueue {
   std::deque<std::function<void()>> queue_;
 };
 
-/// A fixed worker pool with a bounded task queue — the generalisation
-/// of the old `util::ParallelFor` fan-out into a reusable building block.
-/// Two usage modes:
-///
-///   * long-lived serving pool (`whyprov::Service`): tasks enter through
-///     `TrySubmit`, which refuses with `kResourceExhausted` once the queue
-///     holds `queue_capacity` unstarted tasks — the admission-control
-///     backstop that keeps a flooded server's memory bounded;
-///   * scoped batch fan-out (`Engine::EnumerateBatch` and friends):
-///     `Map(n, fn)` runs `fn(0..n-1)` across the workers plus the calling
-///     thread, dynamically load-balanced, and blocks until every index
-///     completed.
+/// A fixed worker pool with a bounded task queue: the serving pool of
+/// `whyprov::Service`. Tasks enter through `TrySubmit`, which refuses
+/// with `kResourceExhausted` once the queue holds `queue_capacity`
+/// unstarted tasks — the admission-control backstop that keeps a
+/// flooded server's memory bounded.
 ///
 /// Tasks must not throw. Destruction (or `Shutdown`) stops admission,
 /// drains every already-queued task, and joins the workers.
@@ -190,61 +180,6 @@ class Executor {
       if (worker.joinable()) worker.join();
     }
     workers_.clear();
-  }
-
-  /// Runs `fn(0) ... fn(n - 1)` across the pool plus the calling thread,
-  /// dynamically load-balanced via an atomic index; blocks until every
-  /// call returned. Callers are responsible for making `fn` safe to run
-  /// concurrently; distinct indices must touch distinct output slots.
-  /// Bypasses the admission bound: the helper tasks it enqueues only
-  /// steal indices, so any that are refused simply shift work onto the
-  /// remaining participants.
-  template <typename Fn>
-  void Map(std::size_t n, const Fn& fn) {
-    if (n == 0) return;
-    struct Shared {
-      std::atomic<std::size_t> next{0};
-      std::atomic<std::size_t> live_helpers{0};
-      Mutex mutex;
-      CondVar done_cv;
-    };
-    const auto shared = std::make_shared<Shared>();
-    const auto drain = [shared, n, &fn] {
-      for (std::size_t i =
-               shared->next.fetch_add(1, std::memory_order_relaxed);
-           i < n;
-           i = shared->next.fetch_add(1, std::memory_order_relaxed)) {
-        fn(i);
-      }
-    };
-    // One index-stealing helper per worker (capped at n - 1: the caller
-    // takes an index too). `fn` is captured by reference — safe because
-    // Map blocks until every helper finished.
-    const std::size_t helpers = std::min(num_threads(), n - 1);
-    std::size_t enqueued = 0;
-    for (std::size_t i = 0; i < helpers; ++i) {
-      shared->live_helpers.fetch_add(1, std::memory_order_relaxed);
-      const Status submitted = TrySubmit([shared, drain] {
-        drain();
-        if (shared->live_helpers.fetch_sub(1, std::memory_order_acq_rel) ==
-            1) {
-          const MutexLock lock(shared->mutex);
-          shared->done_cv.NotifyAll();
-        }
-      });
-      if (!submitted.ok()) {
-        shared->live_helpers.fetch_sub(1, std::memory_order_acq_rel);
-        break;  // queue full: the caller and accepted helpers cover it
-      }
-      ++enqueued;
-    }
-    drain();  // the calling thread participates
-    if (enqueued > 0) {
-      const MutexLock lock(shared->mutex);
-      while (shared->live_helpers.load(std::memory_order_acquire) != 0) {
-        shared->done_cv.Wait(shared->mutex);
-      }
-    }
   }
 
  private:

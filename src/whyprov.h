@@ -19,15 +19,9 @@
 // unified Request/Response pair with deadlines and cancellation.
 #include "service/service.h"
 
-// Sharded serving: ShardMap partitioning policies (by-predicate with
-// dependency-closure delta fan-out, fact-range over lockstep replicas)
-// and ShardedService — N engines behind the Service API unchanged.
-#include "shard/shard_map.h"
-#include "shard/sharded_service.h"
-
 // The facade: Engine, EngineOptions, the request/response structs, the
-// Enumeration handle, PreparedQuery (compile-once/execute-many plans), the
-// plan cache, and the batch serving API.
+// Enumeration handle, PreparedQuery (compile-once/execute-many plans), and
+// the plan cache.
 #include "engine/engine.h"
 #include "engine/plan_cache.h"
 
@@ -36,7 +30,6 @@
 #include "datalog/ast.h"
 #include "datalog/database.h"
 #include "datalog/parser.h"
-#include "datalog/partition.h"
 #include "datalog/program.h"
 
 // Provenance vocabulary: proof trees/DAGs, tree classes, families, the

@@ -2,9 +2,9 @@
 // cancel/stream-next/destroy lifecycle, status-code mirroring, both
 // enumeration modes (materialised index walk and streaming pull with
 // backpressure), decide/explain/delta payloads, deadline propagation,
-// and the sharded configuration behind the same handle type. Everything
-// here goes through the extern "C" surface only — what a foreign-
-// language binding would see.
+// and the num_shards compatibility field. Everything here goes through
+// the extern "C" surface only — what a foreign-language binding would
+// see.
 
 #include <cstring>
 #include <set>
@@ -336,35 +336,37 @@ TEST(CApiDeltaTest, DeltaAdvancesTheVersionAndReportsStats) {
   EXPECT_EQ(service_stats.model_version, 1u);
 }
 
-// --- the sharded configuration --------------------------------------------
+// --- the num_shards compatibility field ---------------------------------
 
-TEST(CApiShardedTest, NumShardsServesAShardedServiceBehindTheSameAbi) {
+TEST(CApiNumShardsTest, ZeroAndOneServeAndTwoIsInvalid) {
+  for (const std::size_t num_shards : {0u, 1u}) {
+    whyprov_options options;
+    whyprov_options_init(&options);
+    options.num_shards = num_shards;
+    ServiceHandle handle(&options);
+    ASSERT_EQ(handle.status, WHYPROV_OK) << handle.error;
+
+    whyprov_ticket* ticket = nullptr;
+    ASSERT_EQ(whyprov_submit_enumerate(handle.service, kTarget, 0, 0, 0,
+                                       &ticket),
+              WHYPROV_OK);
+    EXPECT_EQ(whyprov_ticket_status(ticket), WHYPROV_OK);
+    EXPECT_EQ(whyprov_ticket_num_members(ticket), kDiamondMembers);
+    whyprov_ticket_destroy(ticket);
+
+    whyprov_stats stats;
+    whyprov_service_stats(handle.service, &stats);
+    EXPECT_EQ(stats.num_shards, 1u);
+    EXPECT_EQ(stats.version_skew, 0u);
+  }
+
   whyprov_options options;
   whyprov_options_init(&options);
   options.num_shards = 2;
   ServiceHandle handle(&options);
-  ASSERT_EQ(handle.status, WHYPROV_OK) << handle.error;
-
-  whyprov_stats stats;
-  whyprov_service_stats(handle.service, &stats);
-  EXPECT_EQ(stats.num_shards, 2u);
-
-  whyprov_ticket* ticket = nullptr;
-  ASSERT_EQ(whyprov_submit_enumerate(handle.service, kTarget, 0, 0, 0,
-                                     &ticket),
-            WHYPROV_OK);
-  EXPECT_EQ(whyprov_ticket_status(ticket), WHYPROV_OK);
-  EXPECT_EQ(whyprov_ticket_num_members(ticket), kDiamondMembers);
-  whyprov_ticket_destroy(ticket);
-
-  // Decide parses candidates through the shards' shared symbol table.
-  const char* member[] = {"edge(a, m2)", "edge(m2, b)"};
-  whyprov_ticket* decide = nullptr;
-  ASSERT_EQ(whyprov_submit_decide(handle.service, kTarget, member, 2,
-                                  WHYPROV_TREE_UNAMBIGUOUS, 0, &decide),
-            WHYPROV_OK);
-  EXPECT_EQ(whyprov_ticket_decision(decide), 1);
-  whyprov_ticket_destroy(decide);
+  EXPECT_EQ(handle.status, WHYPROV_INVALID_ARGUMENT);
+  EXPECT_EQ(handle.service, nullptr);
+  EXPECT_NE(std::strstr(handle.error, "num_shards"), nullptr) << handle.error;
 }
 
 TEST(CApiStatsTest, CountersTrackTheServedRequests) {

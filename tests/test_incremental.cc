@@ -238,6 +238,13 @@ TEST(IncrementalEvaluatorTest, NonLinearRuleDeltaMatchesRebuild) {
 
 // --- Engine::ApplyDelta: scenario equivalence ----------------------------
 
+/// The engine's running database-size count (what admission pricing
+/// reads) must equal the size of the materialised database view.
+void ExpectExactDatabaseSize(const Engine& engine) {
+  EXPECT_EQ(engine.PinSnapshot()->database_size,
+            engine.database().facts().size());
+}
+
 /// Removes a deterministic slice of the database, checks the delta-updated
 /// engine against a from-scratch rebuild (model contents and enumerated
 /// families for sampled answers), then adds the slice back and checks
@@ -248,6 +255,7 @@ void CheckScenarioDeltaEquivalence(
   options.sampling_seed = 11;
   Engine engine = scenario.MakeEngine(options);
   const std::map<std::string, int> original = ModelContents(engine);
+  ExpectExactDatabaseSize(engine);
 
   std::vector<dl::Fact> slice;
   const auto& facts = scenario.database.facts();
@@ -263,6 +271,7 @@ void CheckScenarioDeltaEquivalence(
   ASSERT_TRUE(removal_stats.ok()) << removal_stats.status().message();
   EXPECT_EQ(removal_stats.value().model_version, 1u);
   EXPECT_EQ(removal_stats.value().facts_removed, slice.size());
+  ExpectExactDatabaseSize(engine);
 
   dl::Database reduced = scenario.database;
   for (const dl::Fact& fact : slice) reduced.Remove(fact);
@@ -286,6 +295,7 @@ void CheckScenarioDeltaEquivalence(
   ASSERT_TRUE(addition_stats.ok()) << addition_stats.status().message();
   EXPECT_EQ(addition_stats.value().model_version, 2u);
   EXPECT_EQ(ModelContents(engine), original);
+  ExpectExactDatabaseSize(engine);
 }
 
 TEST(ApplyDeltaScenarioTest, TransClosureSparse) {

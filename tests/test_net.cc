@@ -484,22 +484,6 @@ TEST(NetServerTest, FullVerbSurfaceOverOneConnection) {
   EXPECT_EQ(stats.value().num_shards, 1u);
 }
 
-TEST(NetServerTest, ShardedServiceServesTheSameWire) {
-  whyprov_options options;
-  whyprov_options_init(&options);
-  options.num_shards = 2;
-  ServedStack stack(kDiamondProgram, kDiamondDatabase, "path", &options);
-  ASSERT_TRUE(stack.ok());
-  Client client = MustConnect(stack);
-  auto outcome = client.Enumerate(kTarget);
-  ASSERT_TRUE(outcome.ok());
-  ASSERT_TRUE(outcome.value().ok());
-  EXPECT_EQ(outcome.value().final.members.size(), kDiamondMembers);
-  auto stats = client.Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats.value().num_shards, 2u);
-}
-
 TEST(NetServerTest, PipelinedResponsesArriveInSubmissionOrder) {
   ServedStack stack(kDiamondProgram, kDiamondDatabase);
   ASSERT_TRUE(stack.ok());

@@ -1,8 +1,8 @@
 // Tests of the multi-tenant QoS subsystem (src/qos/): deficit-weighted
 // fair queueing (weight-proportional throughput under saturation), the
 // batch lane's anti-starvation escape, cost-based admission with
-// refund-on-cancel, fair dequeue across shards behind one shared pool,
-// and the FIFO-equivalence invariant — a scheduler seeing only default
+// refund-on-cancel, exact per-tenant gauges, and the FIFO-equivalence
+// invariant — a scheduler seeing only default
 // tags must pop in exact push order, which is what keeps default-class
 // traffic bit-identical to the pre-QoS service. The CI runs this binary
 // under ThreadSanitizer.
@@ -24,13 +24,10 @@
 namespace whyprov {
 namespace {
 
-util::TaskTag Tag(qos::QosClass lane, std::string tenant,
-                  std::uint64_t shard = 0, double cost = 1.0) {
+util::TaskTag Tag(qos::QosClass lane, std::string tenant) {
   util::TaskTag tag;
   tag.lane = static_cast<std::uint8_t>(lane);
   tag.tenant = std::move(tenant);
-  tag.shard = shard;
-  tag.cost = cost;
   return tag;
 }
 
@@ -112,30 +109,11 @@ TEST(FairSchedulerTest, ZeroEscapeMeansStrictPriority) {
   }
 }
 
-// --- scheduler: shard fairness -------------------------------------------
-
-TEST(FairSchedulerTest, DequeuesRoundRobinAcrossShards) {
-  qos::FairScheduler scheduler(qos::QosOptions{});
-  std::vector<std::string> log;
-  // One tenant, one lane: four tasks from the hot shard 0 queued before
-  // two from shard 1.
-  scheduler.Push(Record(log, "A"), Tag(qos::QosClass::kInteractive, "t", 0));
-  scheduler.Push(Record(log, "B"), Tag(qos::QosClass::kInteractive, "t", 0));
-  scheduler.Push(Record(log, "C"), Tag(qos::QosClass::kInteractive, "t", 0));
-  scheduler.Push(Record(log, "D"), Tag(qos::QosClass::kInteractive, "t", 0));
-  scheduler.Push(Record(log, "E"), Tag(qos::QosClass::kInteractive, "t", 1));
-  scheduler.Push(Record(log, "F"), Tag(qos::QosClass::kInteractive, "t", 1));
-  while (scheduler.size() > 0) scheduler.Pop()();
-  // Shards alternate while both hold work — the hot shard cannot starve
-  // its sibling's queued tasks.
-  EXPECT_EQ(log, (std::vector<std::string>{"A", "E", "B", "F", "C", "D"}));
-}
-
 // --- scheduler: the FIFO-equivalence invariant ---------------------------
 
 TEST(FairSchedulerTest, DefaultTagsPopInExactPushOrder) {
   // Architecture invariant 6: with only default tags (one lane, one
-  // tenant, one shard) every scheduling level degenerates and the pop
+  // tenant) every scheduling level degenerates and the pop
   // order IS the push order — what keeps default-class behaviour (and
   // the bit-identical transcripts) unchanged from the pre-QoS FIFO.
   qos::FairScheduler scheduler(qos::QosOptions{});
@@ -298,37 +276,36 @@ TEST(ServiceQosTest, DefaultClassRequestsMatchFifoServiceResults) {
   }
 }
 
-// --- sharded: fair dequeue through a shared pool -------------------------
-
-TEST(ShardedQosTest, SharedPoolServesEveryShardAndSnapshotsOnce) {
-  ShardedServiceOptions options;
-  options.num_shards = 2;
-  options.service.num_threads = 2;
-  auto sharded = ShardedService::FromText(
-      kDiamondProgram, kDiamondDatabase, "path", options);
-  ASSERT_TRUE(sharded.ok()) << sharded.status().message();
-
+TEST(ServiceQosTest, QueuedGaugeDrainsToZeroAfterFastCompletions) {
+  // A worker can finish a request before Submit returns. The queue entry
+  // must be recorded before the executor can run the request, or the
+  // completion finds nothing to retire and the gauge sticks above zero.
+  constexpr std::size_t kRequests = 500;
+  ServiceOptions options;
+  options.num_threads = 4;
+  options.queue_capacity = kRequests;
+  Service service(MakeEngine(), options);
   std::vector<Ticket> tickets;
-  for (int i = 0; i < 8; ++i) {
-    auto ticket =
-        sharded.value()->Submit(EnumerateOp(i % 2 == 0 ? "even" : "odd"));
+  tickets.reserve(kRequests);
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    Request request = EnumerateOp("t");
+    std::get<EnumerateRequest>(request.op).max_members = 1;
+    auto ticket = service.Submit(std::move(request));
     ASSERT_TRUE(ticket.ok()) << ticket.status().message();
     tickets.push_back(std::move(ticket).value());
   }
-  for (Ticket& ticket : tickets) {
-    EXPECT_TRUE(ticket.Wait().status.ok()) << ticket.Wait().status.message();
+  for (const Ticket& ticket : tickets) {
+    ASSERT_TRUE(ticket.Wait().status.ok()) << ticket.Wait().status.message();
   }
 
-  // One shared registry for the whole group: rows are exact (each
-  // request counted once, not once per shard).
-  std::uint64_t even_served = 0;
-  std::uint64_t odd_served = 0;
-  for (const qos::TenantStats& row : sharded.value()->stats().tenants) {
-    if (row.tenant == "even") even_served += row.served;
-    if (row.tenant == "odd") odd_served += row.served;
+  bool found = false;
+  for (const qos::TenantStats& row : service.stats().tenants) {
+    if (row.tenant != "t") continue;
+    found = true;
+    EXPECT_EQ(row.queued, 0u);
+    EXPECT_EQ(row.served, kRequests);
   }
-  EXPECT_EQ(even_served, 4u);
-  EXPECT_EQ(odd_served, 4u);
+  EXPECT_TRUE(found) << "no stats row for tenant 't'";
 }
 
 }  // namespace

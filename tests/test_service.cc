@@ -563,8 +563,6 @@ TEST(ServiceStatsTest, ReportsThroughputVersionAndSnapshotRetention) {
   EXPECT_EQ(stats.model_version, 0u);
   EXPECT_EQ(stats.retained_snapshots, 1u);  // just the published state
   EXPECT_GT(stats.retained_snapshot_bytes, 0u);
-  EXPECT_EQ(stats.version_skew, 0u);
-  EXPECT_TRUE(stats.shards.empty()) << "single-engine services have no rows";
 
   // An in-flight streaming enumeration pins its snapshot across a delta:
   // the retired version must show up in the retention gauges until the
@@ -598,13 +596,12 @@ TEST(ServiceStatsTest, ReportsThroughputVersionAndSnapshotRetention) {
 
 // --- blocking batch conveniences -----------------------------------------
 
-TEST(ServiceBatchTest, EnumerateBatchMatchesEngineBatch) {
-  Engine engine = MakeEngine(kExample1Program, kExample4Database, "a");
+TEST(ServiceBatchTest, EnumerateBatchMatchesSequentialEngineCalls) {
+  const Engine engine = MakeEngine(kExample1Program, kExample4Database, "a");
   std::vector<EnumerateRequest> requests(3);
   requests[0].target_text = "a(d)";
   requests[1].target_text = "a(c)";
   requests[2].target_text = "a(nonexistent)";
-  const BatchEnumerateResult direct = engine.EnumerateBatch(requests);
 
   ServiceOptions options;
   options.num_threads = 2;
@@ -613,33 +610,43 @@ TEST(ServiceBatchTest, EnumerateBatchMatchesEngineBatch) {
                   options);
   const BatchEnumerateResult served = service.EnumerateBatch(requests);
 
-  ASSERT_EQ(served.outcomes.size(), direct.outcomes.size());
-  for (std::size_t i = 0; i < served.outcomes.size(); ++i) {
-    EXPECT_EQ(served.outcomes[i].status.ok(), direct.outcomes[i].status.ok());
-    EXPECT_EQ(served.outcomes[i].members.size(),
-              direct.outcomes[i].members.size());
+  ASSERT_EQ(served.outcomes.size(), requests.size());
+  std::size_t members = 0;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    auto direct = engine.Enumerate(requests[i]);
+    ASSERT_EQ(served.outcomes[i].status.ok(), direct.ok()) << "request " << i;
+    if (!direct.ok()) {
+      EXPECT_EQ(served.outcomes[i].status.code(), direct.status().code());
+      continue;
+    }
+    const std::vector<std::vector<dl::Fact>> expected = direct.value().All();
+    EXPECT_EQ(served.outcomes[i].members, expected) << "request " << i;
+    EXPECT_TRUE(served.outcomes[i].exhausted);
+    members += expected.size();
   }
-  EXPECT_EQ(served.stats.succeeded, direct.stats.succeeded);
-  EXPECT_EQ(served.stats.failed, direct.stats.failed);
-  EXPECT_EQ(served.stats.members_emitted, direct.stats.members_emitted);
+  EXPECT_EQ(served.stats.succeeded, 2u);
+  EXPECT_EQ(served.stats.failed, 1u);
+  EXPECT_EQ(served.stats.members_emitted, members);
 }
 
-TEST(ServiceBatchTest, DecideBatchMatchesEngineBatch) {
-  Engine engine = MakeEngine(kExample1Program, kExample1Database, "a");
+TEST(ServiceBatchTest, DecideBatchMatchesSequentialEngineCalls) {
+  const Engine engine = MakeEngine(kExample1Program, kExample1Database, "a");
   std::vector<DecideRequest> requests(2);
   requests[0].target_text = "a(d)";
   requests[0].candidate = {engine.database().facts()[0],
                            engine.database().facts()[3]};
   requests[1].target_text = "a(d)";
   requests[1].candidate = {engine.database().facts()[0]};
-  const BatchDecideResult direct = engine.DecideBatch(requests);
 
   Service service(MakeEngine(kExample1Program, kExample1Database, "a"));
   const BatchDecideResult served = service.DecideBatch(requests);
-  ASSERT_EQ(served.outcomes.size(), 2u);
-  EXPECT_TRUE(served.outcomes[0].status.ok());
-  EXPECT_EQ(served.outcomes[0].member, direct.outcomes[0].member);
-  EXPECT_EQ(served.outcomes[1].member, direct.outcomes[1].member);
+  ASSERT_EQ(served.outcomes.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const util::Result<bool> direct = engine.Decide(requests[i]);
+    ASSERT_TRUE(direct.ok());
+    ASSERT_TRUE(served.outcomes[i].status.ok());
+    EXPECT_EQ(served.outcomes[i].member, direct.value()) << "request " << i;
+  }
 }
 
 // --- shutdown ------------------------------------------------------------

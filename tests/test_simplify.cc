@@ -6,8 +6,7 @@
 // differential harness (simplify + reconstruct preserves the exact set of
 // models projected onto the frozen variables), and end-to-end enumeration
 // equivalence — simplified vs off must produce identical provenance
-// families on every scenario generator, through deltas and through the
-// sharded serving stack (the latter also under the TSan CI job).
+// families on every scenario generator and through deltas.
 
 #include <cstddef>
 #include <cstdint>
@@ -633,68 +632,6 @@ TEST(SimplifyEquivalenceTest, Andersen) {
 
 TEST(SimplifyEquivalenceTest, Csda) {
   CheckScenarioEquivalence(sc::MakeCsda("httpd", 200, 20240611));
-}
-
-// --- End to end: through the sharded stack -------------------------------
-
-std::set<std::string> ShardedFamilies(ShardedService& service,
-                                      const std::vector<std::string>& targets,
-                                      const dl::SymbolTable& symbols) {
-  std::set<std::string> rendered;
-  for (const std::string& target : targets) {
-    EnumerateRequest enumerate;
-    enumerate.target_text = target;
-    Request request;
-    request.op = std::move(enumerate);
-    auto ticket = service.Submit(std::move(request));
-    EXPECT_TRUE(ticket.ok()) << ticket.status().message();
-    if (!ticket.ok()) continue;
-    const Response response = ticket.value().Take();
-    EXPECT_TRUE(response.status.ok()) << response.status.message();
-    for (const auto& member : response.members) {
-      rendered.insert(target + " " +
-                      whyprov::testing::MemberToString(member, symbols));
-    }
-  }
-  return rendered;
-}
-
-TEST(SimplifyShardedTest, ShardedServingMatchesOff) {
-  const sc::GeneratedScenario scenario = sc::MakeDoctors(1, 100, 20240611);
-  const auto predicate =
-      scenario.symbols->FindPredicate(scenario.answer_predicate);
-  ASSERT_TRUE(predicate.ok());
-
-  std::vector<std::string> targets;
-  {
-    Engine probe = scenario.MakeEngine();
-    for (const dl::FactId id : probe.SampleAnswers(3)) {
-      targets.push_back(probe.FactToText(id));
-    }
-  }
-  ASSERT_FALSE(targets.empty());
-
-  std::set<std::string> off_families;
-  std::set<std::string> fast_families;
-  for (const SimplifyMode mode :
-       {SimplifyMode::kOff, SimplifyMode::kFast}) {
-    ShardedServiceOptions options;
-    options.num_shards = 2;
-    options.engine.plan_simplify = mode;
-    auto sharded = ShardedService::Create(scenario.program, scenario.database,
-                                          predicate.value(), options);
-    ASSERT_TRUE(sharded.ok()) << sharded.status().message();
-    auto& families =
-        mode == SimplifyMode::kOff ? off_families : fast_families;
-    families =
-        ShardedFamilies(*sharded.value(), targets, *scenario.symbols);
-    if (mode == SimplifyMode::kFast) {
-      // The aggregated stats must show the pass ran on the shards.
-      EXPECT_GT(sharded.value()->stats().plans_simplified, 0u);
-    }
-  }
-  EXPECT_FALSE(off_families.empty());
-  EXPECT_EQ(fast_families, off_families);
 }
 
 }  // namespace

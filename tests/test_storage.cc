@@ -2,9 +2,8 @@
 // checkpoint encode/decode exactness, and — the core contract — a
 // serving stack restarted from checkpoint + WAL tail must serve
 // byte-identical answers to the never-restarted process, across all six
-// scenario generators with interleaved deltas, for the in-process
-// Service and both sharded policies. Kill points are simulated by
-// truncating and corrupting the on-disk files directly. The CI runs
+// scenario generators with interleaved deltas. Kill points are
+// simulated by truncating and corrupting the on-disk files directly. The CI runs
 // this binary under ThreadSanitizer.
 
 #include <cstddef>
@@ -236,17 +235,15 @@ SubmitFn Submitter(Service& service) {
   };
 }
 
-SubmitFn Submitter(ShardedService& service) {
-  return [&service](Request request) {
-    auto ticket = service.Submit(std::move(request));
-    EXPECT_TRUE(ticket.ok()) << ticket.status().message();
-    if (!ticket.ok()) return Response();
-    return ticket.value().Take();
-  };
+/// The engine's running database-size count (what admission pricing
+/// reads) must equal the size of the materialised database view, on
+/// the recovered model as on a delta-built one.
+void ExpectExactDatabaseSize(const Engine& engine) {
+  EXPECT_EQ(engine.PinSnapshot()->database_size,
+            engine.database().facts().size());
 }
 
-/// The same scripted mixed workload the sharding equivalence tests use:
-/// enumerate / decide over every target, interleaved with awaited
+/// A scripted mixed workload: enumerate / decide over every target, interleaved with awaited
 /// remove-then-restore deltas, rendered into a transcript. Because the
 /// churn ends fully restored, the post-script state equals the base
 /// state — so a recovered stack replaying the log must reproduce this
@@ -382,10 +379,12 @@ void CheckDurableEquivalence(const scenarios::GeneratedScenario& scenario,
     // The last checkpoint folded every record (interval 1), so the
     // replayed tail is empty — recovery came from the snapshot.
     EXPECT_EQ(recovered.stats().recovery_replayed_deltas, 0u);
+    ExpectExactDatabaseSize(recovered.engine());
     EXPECT_EQ(RunScript(Submitter(recovered), targets, churn,
                         *scenario.symbols),
               expected)
         << scenario.scenario_name << ": post-recovery answers diverged";
+    ExpectExactDatabaseSize(recovered.engine());
   }
 
   // Kill point: the checkpoint is corrupt. The WAL is never compacted,
@@ -400,6 +399,7 @@ void CheckDurableEquivalence(const scenarios::GeneratedScenario& scenario,
     ASSERT_TRUE(replayed.durability_status().ok())
         << replayed.durability_status().message();
     EXPECT_EQ(replayed.stats().recovery_replayed_deltas, 2 * deltas);
+    ExpectExactDatabaseSize(replayed.engine());
     EXPECT_EQ(RunScript(Submitter(replayed), targets, churn,
                         *scenario.symbols),
               expected)
@@ -441,82 +441,6 @@ TEST(DurableEquivalenceTest, Galen) {
 TEST(DurableEquivalenceTest, Csda) {
   CheckDurableEquivalence(scenarios::MakeCsda("httpd", 200, 20240611),
                           "svc_csda");
-}
-
-// --- sharded restarts -----------------------------------------------------
-
-/// Restart-equivalence through ShardedService: one group-level store,
-/// restored via lockstep AdoptRecovered (fact-range) or full-log replay
-/// through the split-and-apply path (by-predicate).
-void CheckShardedDurableRestart(const scenarios::GeneratedScenario& scenario,
-                                ShardPolicy policy,
-                                const std::string& dir_name) {
-  std::vector<std::string> targets;
-  std::vector<std::string> churn;
-  ScenarioScript(scenario, /*num_targets=*/3, /*num_churn=*/2, targets,
-                 churn);
-  ASSERT_FALSE(targets.empty());
-  const auto predicate =
-      scenario.symbols->FindPredicate(scenario.answer_predicate);
-  ASSERT_TRUE(predicate.ok());
-
-  Service reference(scenario.MakeEngine());
-  const std::vector<std::string> expected =
-      RunScript(Submitter(reference), targets, churn, *scenario.symbols);
-
-  ShardedServiceOptions options;
-  options.num_shards = 2;
-  options.policy = policy;
-  options.engine.data_dir = TempDataDir(dir_name);
-  options.engine.checkpoint_interval = 1;
-
-  {
-    auto sharded = ShardedService::Create(scenario.program, scenario.database,
-                                          predicate.value(), options);
-    ASSERT_TRUE(sharded.ok()) << sharded.status().message();
-    ASSERT_TRUE(sharded.value()->durability_status().ok())
-        << sharded.value()->durability_status().message();
-    EXPECT_EQ(RunScript(Submitter(*sharded.value()), targets, churn,
-                        *scenario.symbols),
-              expected)
-        << scenario.scenario_name << ": durable sharded serving diverged";
-    EXPECT_EQ(sharded.value()->stats().wal_appends, 2 * churn.size());
-  }
-
-  auto restarted = ShardedService::Create(scenario.program, scenario.database,
-                                          predicate.value(), options);
-  ASSERT_TRUE(restarted.ok()) << restarted.status().message();
-  ASSERT_TRUE(restarted.value()->durability_status().ok())
-      << restarted.value()->durability_status().message();
-  const ServiceStats stats = restarted.value()->stats();
-  if (restarted.value()->shard_map().policy() == ShardPolicy::kByPredicate) {
-    // By-predicate shards diverge from any single model after splits, so
-    // the group never checkpoints: recovery is always full-log replay.
-    EXPECT_EQ(stats.checkpoints_written, 0u);
-    EXPECT_EQ(stats.recovery_replayed_deltas, 2 * churn.size());
-  }
-  EXPECT_EQ(RunScript(Submitter(*restarted.value()), targets, churn,
-                      *scenario.symbols),
-            expected)
-      << scenario.scenario_name << ": post-restart sharded answers diverged";
-}
-
-TEST(ShardedDurableRestartTest, FactRangeReplicas) {
-  CheckShardedDurableRestart(
-      scenarios::MakeTransClosure(scenarios::GraphKind::kSparse, 40, 60,
-                                  20240611),
-      ShardPolicy::kByFactRange, "shard_fact_range");
-}
-
-TEST(ShardedDurableRestartTest, ByPredicate) {
-  CheckShardedDurableRestart(scenarios::MakeDoctors(1, 100, 20240611),
-                             ShardPolicy::kByPredicate, "shard_by_pred");
-}
-
-TEST(ShardedDurableRestartTest, FactRangeOnMultiPredicate) {
-  CheckShardedDurableRestart(scenarios::MakeDoctors(1, 100, 20240611),
-                             ShardPolicy::kByFactRange,
-                             "shard_fact_range_doctors");
 }
 
 // --- kill points through the full service ---------------------------------

@@ -341,27 +341,6 @@ TEST(CondVarTest, NotifyOneWakesABlockedDeadlineWaiter) {
   EXPECT_FALSE(timed_out);
 }
 
-TEST(ExecutorTest, MapCoversEveryIndexExactlyOnce) {
-  Executor executor({/*num_threads=*/3, /*queue_capacity=*/8});
-  constexpr std::size_t kN = 1000;
-  std::vector<std::atomic<int>> hits(kN);
-  executor.Map(kN, [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ExecutorTest, MapWorksWhenQueueIsTinyOrNIsSmall) {
-  Executor executor({/*num_threads=*/4, /*queue_capacity=*/1});
-  std::atomic<std::size_t> sum{0};
-  executor.Map(10, [&sum](std::size_t i) { sum.fetch_add(i); });
-  EXPECT_EQ(sum.load(), 45u);
-  executor.Map(1, [&sum](std::size_t) { sum.fetch_add(1); });
-  EXPECT_EQ(sum.load(), 46u);
-  executor.Map(0, [&sum](std::size_t) { sum.fetch_add(100); });
-  EXPECT_EQ(sum.load(), 46u);
-}
-
 TEST(ExecutorTest, TrySubmitRefusesWhenTheQueueIsFull) {
   Executor executor({/*num_threads=*/1, /*queue_capacity=*/1});
   Mutex mutex;
