@@ -21,7 +21,9 @@ void BM_AcyclicityEncoding(benchmark::State& state, const SuiteEntry entry,
                            pv::AcyclicityEncoding encoding) {
   for (auto _ : state) {
     auto scenario = entry.make();
-    const whyprov::Engine engine = scenario.MakeEngine();
+    whyprov::EngineOptions options;
+    options.acyclicity = encoding;
+    const whyprov::Engine engine = scenario.MakeEngine(options);
     whyprov::util::Rng rng(kSuiteSeed ^ 0x9u);
     const auto targets = engine.SampleAnswers(3, rng);
 
@@ -32,7 +34,6 @@ void BM_AcyclicityEncoding(benchmark::State& state, const SuiteEntry entry,
     for (auto target : targets) {
       whyprov::EnumerateRequest request;
       request.target = target;
-      request.acyclicity = encoding;
       auto enumeration = engine.Enumerate(request);
       if (!enumeration.ok()) continue;
       encode_total += enumeration.value().timings().encode_seconds;

@@ -85,9 +85,13 @@ inline std::vector<TupleRun> RunSuiteEntry(const SuiteEntry& entry,
         static_cast<std::size_t>(prepared.value().formula().num_vars);
 
     if (enumerate) {
+      // The per-tuple time limit is the request's cancellation deadline,
+      // polled between members and inside each solve.
+      util::CancellationSource deadline;
+      deadline.SetTimeout(kEnumerationTimeoutSeconds);
       whyprov::EnumerateRequest request;
       request.max_members = kMaxMembersPerTuple;
-      request.timeout_seconds = kEnumerationTimeoutSeconds;
+      request.cancellation = deadline.token();
       auto enumeration = prepared.value().Enumerate(request);
       if (!enumeration.ok()) {
         std::fprintf(stderr, "enumerate failed: %s\n",
@@ -97,7 +101,10 @@ inline std::vector<TupleRun> RunSuiteEntry(const SuiteEntry& entry,
       run.delays.tuple_label = run.construction.tuple_label;
       while (enumeration.value().Next().has_value()) {
       }
-      run.delays.hit_timeout = enumeration.value().hit_timeout();
+      // The CDCL deadline hint can end a solve at a restart boundary just
+      // before the deadline, which reports incomplete() instead.
+      run.delays.hit_timeout = enumeration.value().deadline_exceeded() ||
+                               enumeration.value().incomplete();
       run.delays.hit_member_cap = enumeration.value().hit_member_cap();
       run.delays.members = enumeration.value().members_emitted();
       util::SampleSet samples;

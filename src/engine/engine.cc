@@ -9,6 +9,7 @@
 #include "datalog/parser.h"
 #include "provenance/proof_dag.h"
 #include "sat/solver_factory.h"
+#include "util/timer.h"
 
 namespace whyprov {
 
@@ -25,13 +26,10 @@ dl::Model EvaluateTimed(const dl::Program& program,
   return model;
 }
 
-/// Instantiates the request's backend (or the engine default) with the
-/// engine's solver tuning.
+/// Instantiates the engine's backend: a fresh solver per execution.
 util::Result<std::unique_ptr<sat::SolverInterface>> MakeSolver(
-    const EngineState& state, const std::string& request_backend) {
-  const std::string& backend =
-      request_backend.empty() ? state.options.solver_backend : request_backend;
-  return sat::SolverFactory::Instance().Create(backend, state.options.solver);
+    const EngineState& state) {
+  return sat::SolverFactory::Instance().Create(state.options.solver_backend);
 }
 
 /// The SAT Decide step against a prepared plan (kUnambiguous only).
@@ -41,7 +39,7 @@ util::Result<bool> ExecuteDecideSat(const EngineState& state,
   if (request.cancellation.ShouldStop()) {
     return request.cancellation.InterruptionStatus();
   }
-  auto solver = MakeSolver(state, request.solver_backend);
+  auto solver = MakeSolver(state);
   if (!solver.ok()) return solver.status();
   if (request.cancellation.valid()) {
     solver.value()->SetInterruptCheck(
@@ -107,8 +105,6 @@ EnumerateRequest EnumerateRequestFor(const ExplainRequest& request) {
   enumerate.target = request.target;
   enumerate.target_text = request.target_text;
   enumerate.max_members = request.member_index + 1;
-  enumerate.acyclicity = request.acyclicity;
-  enumerate.solver_backend = request.solver_backend;
   enumerate.cancellation = request.cancellation;
   return enumerate;
 }
@@ -191,17 +187,15 @@ bool EngineState::InDatabase(const dl::Fact& fact) const {
 }
 
 std::shared_ptr<const pv::QueryPlan> EngineState::PlanFor(
-    dl::FactId target, pv::AcyclicityEncoding acyclicity) const {
+    dl::FactId target) const {
   // Single-flight: concurrent misses on one target (the post-delta
   // stampede, when every hot plan was just invalidated) compile the plan
   // once and share it instead of each paying the closure+encode cost.
-  return plan_cache.GetOrBuild(target, acyclicity, model_version, [&] {
+  return plan_cache.GetOrBuild(target, model_version, [&] {
     pv::CnfEncoder::Options encoder_options;
-    encoder_options.acyclicity = acyclicity;
-    sat::SimplifyOptions simplify;
-    simplify.mode = options.plan_simplify;
+    encoder_options.acyclicity = options.acyclicity;
     auto plan = pv::QueryPlan::Build(program, model, target, encoder_options,
-                                     simplify);
+                                     options.plan_simplify);
     plan->set_model_version(model_version);
     if (plan->simplified()) plan_cache.RecordSimplify(plan->simplify_stats());
     return plan;
@@ -211,8 +205,7 @@ std::shared_ptr<const pv::QueryPlan> EngineState::PlanFor(
 // --- Enumeration ---------------------------------------------------------
 
 std::optional<std::vector<dl::Fact>> Enumeration::Next() {
-  if (exhausted_ || hit_member_cap_ || hit_timeout_ || cancelled_ ||
-      hit_deadline_) {
+  if (exhausted_ || hit_member_cap_ || cancelled_ || hit_deadline_) {
     return std::nullopt;
   }
   if (cancel_.cancelled()) {
@@ -225,10 +218,6 @@ std::optional<std::vector<dl::Fact>> Enumeration::Next() {
   }
   if (emitted_ >= max_members_) {
     hit_member_cap_ = true;
-    return std::nullopt;
-  }
-  if (timeout_seconds_ > 0 && clock_.ElapsedSeconds() > timeout_seconds_) {
-    hit_timeout_ = true;
     return std::nullopt;
   }
   std::optional<std::vector<dl::Fact>> member = impl_->Next();
@@ -277,15 +266,14 @@ util::Result<Enumeration> PreparedQuery::ExecutePlan(
     std::shared_ptr<const EngineState> state,
     std::shared_ptr<const pv::QueryPlan> plan,
     const EnumerateRequest& request) {
-  auto solver = MakeSolver(*state, request.solver_backend);
+  auto solver = MakeSolver(*state);
   if (!solver.ok()) return solver.status();
   const dl::FactId target = plan->target();
   auto impl = std::make_unique<pv::WhyProvenanceEnumerator>(
       state->model, std::move(plan), std::move(solver).value());
   impl->SetCancellation(request.cancellation);
   return Enumeration(std::move(state), std::move(impl), target,
-                     request.max_members, request.timeout_seconds,
-                     request.cancellation);
+                     request.max_members, request.cancellation);
 }
 
 dl::FactId PreparedQuery::target() const { return plan_->target(); }
@@ -294,10 +282,6 @@ std::string PreparedQuery::target_text() const {
   const util::MutexLock lock(*state_->parse_mutex);
   return dl::FactToString(state_->model.fact(plan_->target()),
                           state_->program.symbols());
-}
-
-pv::AcyclicityEncoding PreparedQuery::acyclicity() const {
-  return plan_->acyclicity();
 }
 
 const pv::PlanTimings& PreparedQuery::timings() const {
@@ -423,9 +407,8 @@ util::Result<dl::FactId> Engine::FactIdOf(std::string_view fact_text) const {
   return FactIdOn(*snapshot(), fact_text);
 }
 
-PlanCostPeek Engine::PeekPlanCost(
-    dl::FactId target, const std::string& target_text,
-    std::optional<pv::AcyclicityEncoding> acyclicity) const {
+PlanCostPeek Engine::PeekPlanCost(dl::FactId target,
+                                  const std::string& target_text) const {
   PlanCostPeek peek;
   const auto state = snapshot();
   peek.database_facts = state->database_size;
@@ -433,10 +416,7 @@ PlanCostPeek Engine::PeekPlanCost(
       ResolveTarget(*state, target, target_text);
   if (!resolved.ok()) return peek;  // unknown target: fallback pricing
   const std::shared_ptr<const pv::QueryPlan> plan =
-      state->plan_cache.Peek(
-          resolved.value(),
-          acyclicity.value_or(state->options.acyclicity),
-          state->model_version);
+      state->plan_cache.Peek(resolved.value(), state->model_version);
   if (plan == nullptr) return peek;
   peek.plan_cached = true;
   peek.closure_facts = plan->closure().nodes().size();
@@ -477,8 +457,7 @@ util::Result<PreparedQuery> Engine::Prepare(
   util::Result<dl::FactId> target =
       ResolveTarget(*state, request.target, request.target_text);
   if (!target.ok()) return target.status();
-  auto plan = state->PlanFor(
-      target.value(), request.acyclicity.value_or(state->options.acyclicity));
+  auto plan = state->PlanFor(target.value());
   return PreparedQuery(std::move(state), std::move(plan));
 }
 
@@ -501,8 +480,7 @@ util::Result<Enumeration> Engine::Enumerate(
   util::Result<dl::FactId> target =
       ResolveTarget(*state, request.target, request.target_text);
   if (!target.ok()) return target.status();
-  auto plan = state->PlanFor(
-      target.value(), request.acyclicity.value_or(state->options.acyclicity));
+  auto plan = state->PlanFor(target.value());
   return PreparedQuery::ExecutePlan(std::move(state), std::move(plan),
                                     request);
 }
@@ -517,8 +495,7 @@ util::Result<bool> Engine::Decide(const DecideRequest& request) const {
   if (request.tree_class != pv::TreeClass::kUnambiguous) {
     return ExecuteDecideExhaustive(*state, target.value(), request);
   }
-  auto plan = state->PlanFor(
-      target.value(), request.acyclicity.value_or(state->options.acyclicity));
+  auto plan = state->PlanFor(target.value());
   return ExecuteDecideSat(*state, *plan, request);
 }
 
@@ -699,7 +676,7 @@ util::Result<DeltaStats> Engine::ApplyDelta(const DeltaRequest& request) {
       continue;
     }
     entry.plan->set_model_version(version);
-    next->plan_cache.Put(entry.target, entry.acyclicity, entry.plan);
+    next->plan_cache.Put(entry.target, entry.plan);
     ++stats.plans_retained;
   }
   next->plan_cache.CountInvalidated(stats.plans_invalidated);

@@ -28,7 +28,6 @@
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
-#include "util/timer.h"
 
 namespace whyprov {
 
@@ -36,31 +35,31 @@ namespace whyprov {
 using provenance::kNoLimit;
 
 /// One consolidated option block for the whole engine: acyclicity
-/// encoding, SAT backend selection and tuning, materialisation budgets,
-/// plan-cache sizing, and sampling determinism. Per-request structs can
-/// override the request-scoped subset.
+/// encoding, SAT backend, plan simplification, materialisation budgets,
+/// plan-cache sizing, and sampling determinism. The first three are the
+/// only place a query's formula and solver are chosen; requests carry no
+/// overrides.
 struct EngineOptions {
   /// phi_acyclic encoding used by SAT-based services.
   provenance::AcyclicityEncoding acyclicity =
       provenance::AcyclicityEncoding::kVertexElimination;
   /// SolverFactory backend name ("cdcl", "dpll", "dimacs-pipe", ...).
   std::string solver_backend = "cdcl";
-  /// Tuning passed to whichever backend is instantiated.
-  sat::SolverOptions solver;
   /// Budgets for the exhaustive/materialising algorithms.
   provenance::BaselineLimits baseline_limits;
   /// Seed for SampleAnswers (same seed => same sample).
   std::uint64_t sampling_seed = 0;
   /// Plans kept by the LRU plan cache behind Enumerate/Decide/Explain
-  /// (keyed by target fact and acyclicity encoding; 0 disables caching).
+  /// (keyed by target fact; 0 disables caching).
   std::size_t plan_cache_capacity = 64;
   /// Plan-time CNF inprocessing (sat/simplify.h), run once under the
   /// plan-cache single-flight latch; every execution of the plan then
   /// replays the cheaper formula. Semantics are unchanged: the pass
   /// preserves the exact model set projected onto the fact-selector
   /// variables, so enumeration families and decision answers are
-  /// identical to kOff. kFast (default) is one budgeted round; kFull
-  /// iterates with larger budgets.
+  /// identical to kOff. kFast (default) is one round under step budgets;
+  /// kFull iterates with larger ones. No budget reads the clock, so the
+  /// simplified formula is a function of the model alone.
   sat::SimplifyMode plan_simplify = sat::SimplifyMode::kFast;
   /// Snapshot GC policy (serving-side): the number of deltas a running
   /// request may trail the published model by while keeping its snapshot
@@ -105,18 +104,12 @@ struct EngineOptions {
 /// Parameters of Engine::Enumerate.
 struct EnumerateRequest {
   /// The answer fact to explain; either a fact id of the engine's model
-  /// or, when kInvalidFact, the parse of `target_text`.
+  /// or, when kInvalidFact, the parse of `target_text`. (PreparedQuery
+  /// executions ignore both: the plan fixed the target at Prepare time.)
   datalog::FactId target = datalog::kInvalidFact;
   std::string target_text;
   /// Stop after this many members (kNoLimit = enumerate to exhaustion).
   std::size_t max_members = kNoLimit;
-  /// Stop once this much wall-clock time has elapsed (<= 0 = no timeout).
-  double timeout_seconds = 0;
-  /// Request-scoped overrides of the engine defaults. (PreparedQuery
-  /// executions ignore `target`/`target_text`/`acyclicity`: those are
-  /// plan-scoped and fixed at Prepare time.)
-  std::optional<provenance::AcyclicityEncoding> acyclicity;
-  std::string solver_backend;  ///< empty = engine default
   /// Cooperative cancellation/deadline token (empty = never interrupts):
   /// checked between members *and* polled inside the SAT search, so a
   /// cancel or deadline stops a long solve promptly. The Enumeration
@@ -131,8 +124,6 @@ struct DecideRequest {
   std::string target_text;
   std::vector<datalog::Fact> candidate;  ///< the D' to test
   provenance::TreeClass tree_class = provenance::TreeClass::kUnambiguous;
-  std::optional<provenance::AcyclicityEncoding> acyclicity;
-  std::string solver_backend;  ///< empty = engine default
   /// Interrupts the SAT decision mid-solve; an interrupted Decide returns
   /// kCancelled/kDeadlineExceeded instead of a verdict.
   util::CancellationToken cancellation;
@@ -154,9 +145,6 @@ struct ExplainRequest {
   std::size_t member_index = 0;
   /// Node cap for unravelling the compressed DAG into a tree.
   std::size_t max_tree_nodes = 1u << 20;
-  /// Request-scoped overrides, as in EnumerateRequest.
-  std::optional<provenance::AcyclicityEncoding> acyclicity;
-  std::string solver_backend;  ///< empty = engine default
   /// Interrupts the backing enumeration, as in EnumerateRequest.
   util::CancellationToken cancellation;
 };
@@ -165,8 +153,6 @@ struct ExplainRequest {
 struct PrepareRequest {
   datalog::FactId target = datalog::kInvalidFact;
   std::string target_text;
-  /// Overrides the engine's acyclicity encoding for this plan.
-  std::optional<provenance::AcyclicityEncoding> acyclicity;
 };
 
 /// Parameters of Engine::ApplyDelta: a fact-level database update. Facts
@@ -264,12 +250,11 @@ struct EngineState {
 
   ~EngineState();
 
-  /// Cache-through plan lookup: returns the cached plan for
-  /// (target, acyclicity) — provided it is stamped with this state's
-  /// model version — or builds, stamps, and caches a fresh one.
+  /// Cache-through plan lookup: returns the cached plan for `target` —
+  /// provided it is stamped with this state's model version — or builds
+  /// one under `options`, stamps, and caches it.
   std::shared_ptr<const provenance::QueryPlan> PlanFor(
-      datalog::FactId target,
-      provenance::AcyclicityEncoding acyclicity) const;
+      datalog::FactId target) const;
 
   /// This version's database. Version 0 stores the parsed input; delta
   /// successors materialise the view lazily from the model (the live
@@ -329,8 +314,8 @@ class Enumeration {
   Enumeration& operator=(Enumeration&&) = default;
 
   /// The next member of the family as a sorted set of database facts, or
-  /// nullopt once exhausted or a request budget (member cap / timeout)
-  /// has been hit.
+  /// nullopt once exhausted, the member cap has been hit, or the
+  /// request's token stopped the enumeration.
   std::optional<std::vector<datalog::Fact>> Next();
 
   /// Drains the remaining members (still subject to the request budgets).
@@ -355,9 +340,6 @@ class Enumeration {
 
   /// True once the request's max_members stopped the enumeration.
   bool hit_member_cap() const { return hit_member_cap_; }
-
-  /// True once the request's timeout stopped the enumeration.
-  bool hit_timeout() const { return hit_timeout_; }
 
   /// True once the request's cancellation token stopped the enumeration
   /// (between members or mid-solve).
@@ -449,25 +431,21 @@ class Enumeration {
   Enumeration(std::shared_ptr<const EngineState> state,
               std::unique_ptr<provenance::WhyProvenanceEnumerator> impl,
               datalog::FactId target, std::size_t max_members,
-              double timeout_seconds, util::CancellationToken cancellation)
+              util::CancellationToken cancellation)
       : state_(std::move(state)),
         impl_(std::move(impl)),
         target_(target),
         max_members_(max_members),
-        timeout_seconds_(timeout_seconds),
         cancel_(std::move(cancellation)) {}
 
   std::shared_ptr<const EngineState> state_;
   std::unique_ptr<provenance::WhyProvenanceEnumerator> impl_;
   datalog::FactId target_;
   std::size_t max_members_;
-  double timeout_seconds_;
   util::CancellationToken cancel_;
-  util::Timer clock_;  // starts when Enumerate returns the handle
   std::size_t emitted_ = 0;
   bool exhausted_ = false;
   bool hit_member_cap_ = false;
-  bool hit_timeout_ = false;
   bool cancelled_ = false;
   bool hit_deadline_ = false;
 };
@@ -486,9 +464,6 @@ class PreparedQuery {
 
   /// The compiled target rendered as text, e.g. "path(a, b)".
   std::string target_text() const;
-
-  /// The acyclicity encoding the plan was compiled with.
-  provenance::AcyclicityEncoding acyclicity() const;
 
   /// Closure/encode phase timings of the compile step.
   const provenance::PlanTimings& timings() const;
@@ -512,10 +487,10 @@ class PreparedQuery {
   }
 
   /// Starts an incremental whyUN enumeration against this plan with a
-  /// fresh solver. The request's plan-scoped fields (`target`,
-  /// `target_text`, `acyclicity`) are ignored; budgets and the solver
-  /// backend apply. Thread-safe: concurrent calls each get their own
-  /// solver.
+  /// fresh solver from the engine's backend. The request's plan-scoped
+  /// fields (`target`, `target_text`) are ignored; the member cap and the
+  /// cancellation token apply. Thread-safe: concurrent calls each get
+  /// their own solver.
   util::Result<Enumeration> Enumerate(
       const EnumerateRequest& request = EnumerateRequest()) const;
 
@@ -537,7 +512,7 @@ class PreparedQuery {
       : state_(std::move(state)), plan_(std::move(plan)) {}
 
   /// The shared execute step (also used by Engine's cache-through entry
-  /// points): fresh solver, replay the plan, wrap the budgeted handle.
+  /// points): fresh solver, replay the plan, wrap the capped handle.
   static util::Result<Enumeration> ExecutePlan(
       std::shared_ptr<const EngineState> state,
       std::shared_ptr<const provenance::QueryPlan> plan,
@@ -675,9 +650,8 @@ class Engine {
   /// never compiles a plan or touches the cache's counters/LRU order.
   /// An unresolvable target returns the fallback signals (database size
   /// only); pricing must stay cheap even for garbage input.
-  PlanCostPeek PeekPlanCost(
-      datalog::FactId target, const std::string& target_text,
-      std::optional<provenance::AcyclicityEncoding> acyclicity) const;
+  PlanCostPeek PeekPlanCost(datalog::FactId target,
+                            const std::string& target_text) const;
 
   /// Renders a fact id / fact for display.
   std::string FactToText(datalog::FactId id) const;

@@ -19,8 +19,8 @@ namespace whyprov {
 
 /// Point-in-time snapshot of plan-cache effectiveness.
 struct PlanCacheStats {
-  std::size_t hits = 0;       ///< Get calls answered from the cache
-  std::size_t misses = 0;     ///< Get calls that found nothing (or stale)
+  std::size_t hits = 0;       ///< lookups answered from the cache
+  std::size_t misses = 0;     ///< lookups that found nothing (or stale)
   std::size_t evictions = 0;  ///< plans dropped to respect the capacity
   std::size_t invalidated = 0;  ///< plans dropped because a delta touched
                                 ///< their closure (or their stamp trailed
@@ -39,25 +39,25 @@ struct PlanCacheStats {
   std::uint64_t simplify_micros = 0;  ///< total simplify wall time, µs
 };
 
-/// A thread-safe LRU cache of query plans, keyed by (target fact,
-/// acyclicity encoding). Plans are immutable and handed out as
-/// shared_ptr, so an evicted plan stays valid for executions already
-/// holding it. Capacity 0 disables caching (every Get misses, Put is a
-/// no-op) while still counting misses.
+/// A thread-safe LRU cache of query plans, keyed by target fact (one
+/// engine compiles every plan under the same EngineOptions, so the target
+/// alone names a plan). Plans are immutable and handed out as shared_ptr,
+/// so an evicted plan stays valid for executions already holding it.
+/// Capacity 0 disables caching (every lookup misses, Put is a no-op)
+/// while still counting misses.
 ///
 /// Plans are version-stamped against the engine's monotonic model
-/// version. `Get` treats a plan whose stamp trails the expected version
-/// as missing (dropping it and counting an invalidation), so stale plans
-/// are rebuilt lazily on their next hit; `Entries`/`CountInvalidated`
-/// support the delta path's selective carry-over into a successor cache.
+/// version. A lookup treats a plan whose stamp trails the expected
+/// version as missing (dropping it and counting an invalidation), so
+/// stale plans are rebuilt lazily on their next hit; `Entries`/`Put`/
+/// `CountInvalidated` support the delta path's selective carry-over into
+/// a successor cache.
 ///
-/// `GetOrBuild` is the single-flight entry point: concurrent misses on
-/// one (key, version) compile the plan once — the first thread builds
-/// while the rest wait on a build latch and share the result (counted
-/// under `coalesced`), so a post-delta stampede on a hot target costs one
-/// compilation instead of one per requester. The raw Get/Put pair remains
-/// for callers that want the racy fallback; correctness never depends on
-/// single-flight building, only latency does.
+/// `GetOrBuild` is the lookup: concurrent misses on one (target, version)
+/// compile the plan once — the first thread builds while the rest wait
+/// on a build latch and share the result (counted under `coalesced`), so
+/// a post-delta stampede on a hot target costs one compilation instead of
+/// one per requester.
 class PlanCache {
  public:
   explicit PlanCache(std::size_t capacity) : capacity_(capacity) {}
@@ -76,26 +76,17 @@ class PlanCache {
         simplify_clauses_removed_(carried.simplify_clauses_removed),
         simplify_micros_(carried.simplify_micros) {}
 
-  /// Returns the cached plan for the key if present and stamped with
-  /// `expected_version`; a stale entry is dropped (counted under
-  /// `invalidated`) and reported as a miss so the caller rebuilds it.
-  std::shared_ptr<const provenance::QueryPlan> Get(
-      datalog::FactId target, provenance::AcyclicityEncoding acyclicity,
-      std::uint64_t expected_version = 0) EXCLUDES(mutex_) {
-    const util::MutexLock lock(mutex_);
-    return GetLocked(MakeKey(target, acyclicity), expected_version);
-  }
-
-  void Put(datalog::FactId target, provenance::AcyclicityEncoding acyclicity,
+  /// Inserts (or replaces) the plan for `target` as most recently used.
+  void Put(datalog::FactId target,
            std::shared_ptr<const provenance::QueryPlan> plan)
       EXCLUDES(mutex_) {
     const util::MutexLock lock(mutex_);
-    PutLocked(MakeKey(target, acyclicity), std::move(plan));
+    PutLocked(target, std::move(plan));
   }
 
-  /// Single-flight cache-through lookup: the cached plan for the key at
+  /// Single-flight cache-through lookup: the cached plan for `target` at
   /// `expected_version`, or the result of running `build` — exactly once
-  /// across every thread concurrently missing on this key. The winner
+  /// across every thread concurrently missing on this target. The winner
   /// compiles (outside the cache lock: builds are the expensive part) and
   /// Puts; the others block on the build latch and share the winner's
   /// plan. `build` must return a plan already stamped with
@@ -106,20 +97,18 @@ class PlanCache {
   /// coalesce even when nothing is retained afterwards.
   template <typename BuildFn>
   std::shared_ptr<const provenance::QueryPlan> GetOrBuild(
-      datalog::FactId target, provenance::AcyclicityEncoding acyclicity,
-      std::uint64_t expected_version, const BuildFn& build)
-      EXCLUDES(mutex_) {
-    const Key key = MakeKey(target, acyclicity);
+      datalog::FactId target, std::uint64_t expected_version,
+      const BuildFn& build) EXCLUDES(mutex_) {
     while (true) {
       std::shared_ptr<Flight> flight;
       bool builder = false;
       {
         const util::MutexLock lock(mutex_);
-        if (auto plan = GetLocked(key, expected_version)) return plan;
-        auto it = flights_.find(key);
+        if (auto plan = GetLocked(target, expected_version)) return plan;
+        auto it = flights_.find(target);
         if (it == flights_.end()) {
           flight = std::make_shared<Flight>();
-          flights_.emplace(key, flight);
+          flights_.emplace(target, flight);
           builder = true;
         } else {
           flight = it->second;
@@ -130,8 +119,8 @@ class PlanCache {
         std::shared_ptr<const provenance::QueryPlan> plan = build();
         {
           const util::MutexLock lock(mutex_);
-          PutLocked(key, plan);
-          flights_.erase(key);
+          PutLocked(target, plan);
+          flights_.erase(target);
         }
         {
           const util::MutexLock lock(flight->mutex);
@@ -156,14 +145,14 @@ class PlanCache {
   }
 
   /// Side-effect-free lookup for cost estimation (the QoS admission
-  /// path): the cached plan for the key at `expected_version`, or null.
+  /// path): the cached plan for `target` at `expected_version`, or null.
   /// Touches no counters, drops no stale entry, and does not bump the
   /// LRU order — a peek is not a use.
   std::shared_ptr<const provenance::QueryPlan> Peek(
-      datalog::FactId target, provenance::AcyclicityEncoding acyclicity,
-      std::uint64_t expected_version) const EXCLUDES(mutex_) {
+      datalog::FactId target, std::uint64_t expected_version) const
+      EXCLUDES(mutex_) {
     const util::MutexLock lock(mutex_);
-    const auto it = index_.find(MakeKey(target, acyclicity));
+    const auto it = index_.find(target);
     if (it == index_.end()) return nullptr;
     if (it->second->second->model_version() != expected_version) {
       return nullptr;
@@ -171,10 +160,9 @@ class PlanCache {
     return it->second->second;
   }
 
-  /// One cached plan together with its key, for delta carry-over.
+  /// One cached plan together with its target, for delta carry-over.
   struct Entry {
     datalog::FactId target;
-    provenance::AcyclicityEncoding acyclicity;
     std::shared_ptr<const provenance::QueryPlan> plan;
   };
 
@@ -185,10 +173,7 @@ class PlanCache {
     std::vector<Entry> entries;
     entries.reserve(lru_.size());
     for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-      entries.push_back(Entry{static_cast<datalog::FactId>(it->first >> 8),
-                              static_cast<provenance::AcyclicityEncoding>(
-                                  it->first & 0xff),
-                              it->second});
+      entries.push_back(Entry{it->first, it->second});
     }
     return entries;
   }
@@ -231,15 +216,6 @@ class PlanCache {
   }
 
  private:
-  /// (target << 8) | acyclicity: FactId is 32-bit and the encoding enum is
-  /// tiny, so the pair packs collision-free into one key.
-  using Key = std::uint64_t;
-  static Key MakeKey(datalog::FactId target,
-                     provenance::AcyclicityEncoding acyclicity) {
-    return (static_cast<Key>(target) << 8) |
-           static_cast<Key>(acyclicity);
-  }
-
   /// One in-flight plan build: the latch concurrent missers wait on.
   struct Flight {
     util::Mutex mutex;
@@ -248,10 +224,10 @@ class PlanCache {
     std::shared_ptr<const provenance::QueryPlan> plan GUARDED_BY(mutex);
   };
 
-  /// Get with mutex_ already held (shared by Get and GetOrBuild).
+  /// The counted, LRU-bumping lookup behind GetOrBuild (mutex_ held).
   std::shared_ptr<const provenance::QueryPlan> GetLocked(
-      Key key, std::uint64_t expected_version) REQUIRES(mutex_) {
-    auto it = index_.find(key);
+      datalog::FactId target, std::uint64_t expected_version) REQUIRES(mutex_) {
+    auto it = index_.find(target);
     if (it == index_.end()) {
       ++misses_;
       return nullptr;
@@ -269,34 +245,35 @@ class PlanCache {
   }
 
   /// Put with mutex_ already held (shared by Put and GetOrBuild).
-  void PutLocked(Key key, std::shared_ptr<const provenance::QueryPlan> plan)
+  void PutLocked(datalog::FactId target,
+                 std::shared_ptr<const provenance::QueryPlan> plan)
       REQUIRES(mutex_) {
     if (capacity_ == 0) return;
-    auto it = index_.find(key);
+    auto it = index_.find(target);
     if (it != index_.end()) {
       it->second->second = std::move(plan);
       lru_.splice(lru_.begin(), lru_, it->second);
       return;
     }
-    lru_.emplace_front(key, std::move(plan));
-    index_.emplace(key, lru_.begin());
+    lru_.emplace_front(target, std::move(plan));
+    index_.emplace(target, lru_.begin());
     if (lru_.size() > capacity_) {
       index_.erase(lru_.back().first);
       lru_.pop_back();
       ++evictions_;
     }
   }
-  using LruEntry =
-      std::pair<Key, std::shared_ptr<const provenance::QueryPlan>>;
+  using LruEntry = std::pair<datalog::FactId,
+                             std::shared_ptr<const provenance::QueryPlan>>;
 
   const std::size_t capacity_;
   mutable util::Mutex mutex_;
   /// front = most recently used
   std::list<LruEntry> lru_ GUARDED_BY(mutex_);
-  std::unordered_map<Key, std::list<LruEntry>::iterator> index_
+  std::unordered_map<datalog::FactId, std::list<LruEntry>::iterator> index_
       GUARDED_BY(mutex_);
-  /// In-flight builds by key (see GetOrBuild).
-  std::unordered_map<Key, std::shared_ptr<Flight>> flights_
+  /// In-flight builds by target (see GetOrBuild).
+  std::unordered_map<datalog::FactId, std::shared_ptr<Flight>> flights_
       GUARDED_BY(mutex_);
   std::size_t hits_ GUARDED_BY(mutex_) = 0;
   std::size_t misses_ GUARDED_BY(mutex_) = 0;

@@ -168,6 +168,14 @@ whyprov_status whyprov_service_create(const char* program_text,
     CopyError(status, error_message, error_message_size);
     return ToC(status);
   }
+  if (options->plan_simplify < WHYPROV_SIMPLIFY_DEFAULT ||
+      options->plan_simplify > WHYPROV_SIMPLIFY_FULL) {
+    const auto status = wp::util::Status::InvalidArgument(
+        "plan_simplify = " + std::to_string(options->plan_simplify) +
+        " is not a WHYPROV_SIMPLIFY_* value");
+    CopyError(status, error_message, error_message_size);
+    return ToC(status);
+  }
 
   wp::EngineOptions engine_options;
   if (options->plan_cache_capacity > 0) {
@@ -377,7 +385,8 @@ whyprov_status whyprov_submit_decide_qos(
     whyprov_tree_class tree_class, double deadline_seconds, int qos_class,
     const char* tenant, whyprov_ticket** out_ticket) {
   if (service == nullptr || target == nullptr || out_ticket == nullptr ||
-      (num_candidate_facts > 0 && candidate_facts == nullptr)) {
+      (num_candidate_facts > 0 && candidate_facts == nullptr) ||
+      static_cast<unsigned>(tree_class) > WHYPROV_TREE_UNAMBIGUOUS) {
     return WHYPROV_INVALID_ARGUMENT;
   }
   *out_ticket = nullptr;
@@ -580,7 +589,6 @@ uint32_t whyprov_ticket_enumerate_flags(const whyprov_ticket* ticket) {
   if (response.exhausted) flags |= WHYPROV_ENUM_EXHAUSTED;
   if (response.incomplete) flags |= WHYPROV_ENUM_INCOMPLETE;
   if (response.hit_member_cap) flags |= WHYPROV_ENUM_HIT_MEMBER_CAP;
-  if (response.hit_timeout) flags |= WHYPROV_ENUM_HIT_TIMEOUT;
   return flags;
 }
 

@@ -67,7 +67,9 @@ typedef enum whyprov_qos_class {
 #define WHYPROV_ENUM_EXHAUSTED 0x1u      /* full family emitted */
 #define WHYPROV_ENUM_INCOMPLETE 0x2u     /* backend gave up (kUnknown) */
 #define WHYPROV_ENUM_HIT_MEMBER_CAP 0x4u /* stopped by max_members */
-#define WHYPROV_ENUM_HIT_TIMEOUT 0x8u    /* stopped by the request timeout */
+#define WHYPROV_ENUM_HIT_TIMEOUT 0x8u    /* never set; kept for compatibility
+                                          * (deadlines end a request with
+                                          * WHYPROV_DEADLINE_EXCEEDED) */
 
 typedef struct whyprov_service whyprov_service; /* opaque */
 typedef struct whyprov_ticket whyprov_ticket;   /* opaque */
@@ -107,7 +109,8 @@ typedef struct whyprov_options {
   double qos_burst;          /* token-bucket depth; 0 = one second of refill */
   int wal_group_commit;      /* 1 = coalesce WAL fsyncs across queued deltas */
   /* Plan-time CNF inprocessing (EngineOptions::plan_simplify): one of
-   * the WHYPROV_SIMPLIFY_* values. 0 keeps the engine default (fast). */
+   * the WHYPROV_SIMPLIFY_* values. 0 keeps the engine default (fast);
+   * any other value fails create with WHYPROV_INVALID_ARGUMENT. */
   int plan_simplify;
 } whyprov_options;
 
@@ -220,7 +223,8 @@ whyprov_status whyprov_submit_enumerate(whyprov_service* service,
                                         whyprov_ticket** out_ticket);
 
 /* Decide whether {candidate_facts} is a member of `target`'s family
- * w.r.t. `tree_class`. */
+ * w.r.t. `tree_class` (a WHYPROV_TREE_* value; anything else is
+ * WHYPROV_INVALID_ARGUMENT). */
 whyprov_status whyprov_submit_decide(whyprov_service* service,
                                      const char* target,
                                      const char* const* candidate_facts,

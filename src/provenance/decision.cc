@@ -10,7 +10,6 @@
 #include "provenance/cnf_encoder.h"
 #include "provenance/downward_closure.h"
 #include "provenance/proof_dag.h"
-#include "sat/solver.h"
 
 namespace whyprov::provenance {
 
@@ -238,29 +237,6 @@ util::Result<IdFamily> UnambiguousSupports(const DownwardClosure& closure,
 }
 
 }  // namespace
-
-bool IsWhyUnMemberSat(const dl::Program& program, const dl::Model& model,
-                      dl::FactId target,
-                      const std::vector<dl::Fact>& dprime,
-                      AcyclicityEncoding acyclicity) {
-  // The in-tree CDCL solver only answers kUnknown under an explicit
-  // conflict budget, which this overload never sets.
-  sat::Solver solver;
-  return IsWhyUnMemberSat(program, model, target, dprime, acyclicity,
-                          solver)
-      .value_or(false);
-}
-
-util::Result<bool> IsWhyUnMemberSat(const dl::Program& program,
-                                    const dl::Model& model, dl::FactId target,
-                                    const std::vector<dl::Fact>& dprime,
-                                    AcyclicityEncoding acyclicity,
-                                    sat::SolverInterface& solver) {
-  CnfEncoder::Options options;
-  options.acyclicity = acyclicity;
-  const auto plan = QueryPlan::Build(program, model, target, options);
-  return IsWhyUnMemberPrepared(*plan, model, dprime, solver);
-}
 
 util::Result<bool> IsWhyUnMemberPrepared(const QueryPlan& plan,
                                          const dl::Model& model,

@@ -6,7 +6,6 @@
 #include "datalog/ast.h"
 #include "datalog/evaluator.h"
 #include "datalog/program.h"
-#include "provenance/acyclicity.h"
 #include "provenance/baseline.h"
 #include "provenance/proof_tree.h"
 #include "provenance/query_plan.h"
@@ -25,31 +24,16 @@ namespace whyprov::provenance {
 ///  * exhaustive reference algorithms for all four proof-tree classes,
 ///    used as ground truth in tests (exponential; limit-guarded).
 
-/// SAT decision of D' in whyUN(t, D, Q): encodes phi(t, D, Q) and pins the
-/// leaf variables to D'. `dprime` facts outside the closure's database
-/// leaves make the answer trivially false. Uses the default CDCL backend.
-bool IsWhyUnMemberSat(
-    const datalog::Program& program, const datalog::Model& model,
-    datalog::FactId target, const std::vector<datalog::Fact>& dprime,
-    AcyclicityEncoding acyclicity = AcyclicityEncoding::kVertexElimination);
-
-/// Same, but encodes into the caller-supplied (fresh) solver backend.
-/// A backend that gives up (SolveResult::kUnknown — e.g. a failed
-/// external solver or an exhausted conflict budget) is reported as
+/// SAT decision of D' in whyUN(t, D, Q) against a prebuilt shared plan:
+/// replays the plan's formula into the fresh `solver`, pins the leaf
+/// variables to D', and solves. `dprime` facts outside the closure's
+/// database leaves make the answer trivially false. Skips the
+/// closure+encode phase entirely, so repeated decisions on one target (or
+/// concurrent decisions across threads, each with its own solver) pay
+/// only the solve. A backend that gives up (SolveResult::kUnknown — e.g. a
+/// failed external solver or an exhausted conflict budget) is reported as
 /// kResourceExhausted instead of being collapsed to "not a member".
-util::Result<bool> IsWhyUnMemberSat(const datalog::Program& program,
-                                    const datalog::Model& model,
-                                    datalog::FactId target,
-                                    const std::vector<datalog::Fact>& dprime,
-                                    AcyclicityEncoding acyclicity,
-                                    sat::SolverInterface& solver);
-
-/// Decides membership against a prebuilt shared plan: replays the plan's
-/// formula into the fresh `solver`, pins the leaf variables to D', and
-/// solves. Skips the closure+encode phase entirely, so repeated decisions
-/// on one target (or concurrent decisions across threads, each with its
-/// own solver) pay only the solve. `model` must be the model the plan was
-/// built from.
+/// `model` must be the model the plan was built from.
 util::Result<bool> IsWhyUnMemberPrepared(
     const QueryPlan& plan, const datalog::Model& model,
     const std::vector<datalog::Fact>& dprime, sat::SolverInterface& solver);

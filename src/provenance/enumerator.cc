@@ -1,57 +1,13 @@
 #include "provenance/enumerator.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
-#include "sat/solver.h"
-#include "sat/solver_factory.h"
 #include "util/timer.h"
 
 namespace whyprov::provenance {
 
 namespace dl = whyprov::datalog;
-
-namespace {
-
-/// Resolves `options` into a solver instance, falling back to the default
-/// CDCL backend when the named backend cannot be created. The fallback is
-/// announced on stderr so a misconfigured backend cannot silently turn a
-/// two-backend cross-check into CDCL-vs-CDCL.
-std::unique_ptr<sat::SolverInterface> MakeSolver(
-    const WhyProvenanceEnumerator::Options& options) {
-  auto solver = sat::SolverFactory::Instance().Create(options.solver_backend,
-                                                      options.solver_options);
-  if (solver.ok()) return std::move(solver).value();
-  std::fprintf(stderr,
-               "whyprov: falling back to the cdcl backend: %s\n",
-               solver.status().message().c_str());
-  return std::make_unique<sat::Solver>(options.solver_options);
-}
-
-CnfEncoder::Options EncoderOptions(
-    const WhyProvenanceEnumerator::Options& options) {
-  CnfEncoder::Options encoder_options;
-  encoder_options.acyclicity = options.acyclicity;
-  return encoder_options;
-}
-
-}  // namespace
-
-WhyProvenanceEnumerator::WhyProvenanceEnumerator(const dl::Program& program,
-                                                 const dl::Model& model,
-                                                 dl::FactId target,
-                                                 const Options& options)
-    : WhyProvenanceEnumerator(program, model, target, options,
-                              MakeSolver(options)) {}
-
-WhyProvenanceEnumerator::WhyProvenanceEnumerator(
-    const dl::Program& program, const dl::Model& model, dl::FactId target,
-    const Options& options, std::unique_ptr<sat::SolverInterface> solver)
-    : WhyProvenanceEnumerator(
-          model, QueryPlan::Build(program, model, target,
-                                  EncoderOptions(options)),
-          std::move(solver)) {}
 
 WhyProvenanceEnumerator::WhyProvenanceEnumerator(
     const dl::Model& model, std::shared_ptr<const QueryPlan> plan,

@@ -5,7 +5,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -29,8 +28,9 @@ inline constexpr std::size_t kNoLimit =
 /// Incremental enumeration of whyUN(t, D, Q) via a SAT solver with
 /// blocking clauses (Section 5.1/5.2 of the paper):
 ///
-///   1. build (or reuse) a `QueryPlan`: the downward closure of the target
-///      fact plus the CNF encoding of phi(t, D, Q),
+///   1. take a prebuilt `QueryPlan`: the downward closure of the target
+///      fact plus the CNF encoding of phi(t, D, Q) (the engine builds and
+///      caches plans under its EngineOptions),
 ///   2. replay the plan's formula into a fresh solver backend,
 ///   3. repeatedly ask for a model, emit db(tau), and add the blocking
 ///      clause over the closure's database facts S until unsatisfiable.
@@ -41,37 +41,6 @@ inline constexpr std::size_t kNoLimit =
 /// Figures 2/4) are recorded on the fly.
 class WhyProvenanceEnumerator {
  public:
-  struct Options {
-    AcyclicityEncoding acyclicity = AcyclicityEncoding::kVertexElimination;
-    /// SolverFactory backend used when no solver is injected. An unknown
-    /// name silently falls back to the CDCL solver; callers that want a
-    /// diagnosable error should resolve the backend via `SolverFactory`
-    /// (as `whyprov::Engine` does) and inject the instance.
-    std::string solver_backend = "cdcl";
-    sat::SolverOptions solver_options;
-  };
-
-  /// Phase timings, for the construction-time figures (Figures 1/3).
-  /// Now owned by the plan; the alias keeps older callers compiling.
-  using Timings = PlanTimings;
-
-  /// Builds a plan for `target` (a fact id of `model`, which must be the
-  /// least model of (program, database)) and executes it. `model` must
-  /// outlive the enumerator. The solver is created via `SolverFactory`
-  /// from `options.solver_backend`.
-  WhyProvenanceEnumerator(const datalog::Program& program,
-                          const datalog::Model& model,
-                          datalog::FactId target, const Options& options);
-  WhyProvenanceEnumerator(const datalog::Program& program,
-                          const datalog::Model& model, datalog::FactId target)
-      : WhyProvenanceEnumerator(program, model, target, Options()) {}
-
-  /// Same, but executes with the injected solver backend (must be fresh).
-  WhyProvenanceEnumerator(const datalog::Program& program,
-                          const datalog::Model& model, datalog::FactId target,
-                          const Options& options,
-                          std::unique_ptr<sat::SolverInterface> solver);
-
   /// Executes a prebuilt shared plan: replays the plan's formula into the
   /// fresh `solver` and enumerates. `model` must be the model the plan was
   /// built from and must outlive the enumerator.
@@ -110,7 +79,7 @@ class WhyProvenanceEnumerator {
   const std::vector<double>& delays_ms() const { return delays_ms_; }
 
   /// Phase timings of the plan (zero-cost when the plan was reused).
-  const Timings& timings() const { return plan_->timings(); }
+  const PlanTimings& timings() const { return plan_->timings(); }
 
   /// The shared plan this enumerator executes.
   const std::shared_ptr<const QueryPlan>& plan() const { return plan_; }

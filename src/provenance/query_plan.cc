@@ -87,18 +87,8 @@ void SeedCanonicalWitness(const dl::Model& model,
 
 std::shared_ptr<const QueryPlan> QueryPlan::Build(
     const dl::Program& program, const dl::Model& model, dl::FactId target,
-    const CnfEncoder::Options& options) {
-  sat::SimplifyOptions off;
-  off.mode = sat::SimplifyMode::kOff;
-  return Build(program, model, target, options, off);
-}
-
-std::shared_ptr<const QueryPlan> QueryPlan::Build(
-    const dl::Program& program, const dl::Model& model, dl::FactId target,
-    const CnfEncoder::Options& options,
-    const sat::SimplifyOptions& simplify) {
+    const CnfEncoder::Options& options, sat::SimplifyMode simplify) {
   auto plan = std::shared_ptr<QueryPlan>(new QueryPlan());
-  plan->acyclicity_ = options.acyclicity;
 
   util::Timer timer;
   plan->closure_ = DownwardClosure::Build(program, model, target);
@@ -115,7 +105,7 @@ std::shared_ptr<const QueryPlan> QueryPlan::Build(
   SeedCanonicalWitness(model, plan->closure_, plan->encoding_, recorder);
   plan->timings_.encode_seconds = timer.ElapsedSeconds();
 
-  if (simplify.mode != sat::SimplifyMode::kOff &&
+  if (simplify != sat::SimplifyMode::kOff &&
       !plan->encoding_.trivially_unsat) {
     timer.Reset();
     // Freeze the fact-selector variables of the database leaves: blocking

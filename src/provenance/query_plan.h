@@ -42,23 +42,18 @@ class QueryPlan {
   /// `model`, which must be the least model of (program, database)). Also
   /// precomputes the rank-greedy canonical-witness search hints that steer
   /// the first Solve of every execution (recorded into the formula).
-  static std::shared_ptr<const QueryPlan> Build(
-      const datalog::Program& program, const datalog::Model& model,
-      datalog::FactId target, const CnfEncoder::Options& options);
-
-  /// As above, but additionally runs the plan-time CNF inprocessing pass
-  /// (sat/simplify.h) when `simplify.mode != kOff`: the stored formula is
-  /// the simplified one, the fact-selector variables of the database
-  /// leaves are frozen, and the reconstruction stack + variable map are
-  /// kept so executions can translate models and literals between the
-  /// original encoding space and the solver space.
+  /// Unless `simplify` is kOff, it then runs the plan-time CNF
+  /// inprocessing pass (sat/simplify.h): the stored formula is the
+  /// simplified one, the fact-selector variables of the database leaves
+  /// are frozen, and the reconstruction stack + variable map are kept so
+  /// executions can translate models and literals between the original
+  /// encoding space and the solver space.
   static std::shared_ptr<const QueryPlan> Build(
       const datalog::Program& program, const datalog::Model& model,
       datalog::FactId target, const CnfEncoder::Options& options,
-      const sat::SimplifyOptions& simplify);
+      sat::SimplifyMode simplify);
 
   datalog::FactId target() const { return closure_.target(); }
-  AcyclicityEncoding acyclicity() const { return acyclicity_; }
   const DownwardClosure& closure() const { return closure_; }
   const Encoding& encoding() const { return encoding_; }
 
@@ -128,7 +123,6 @@ class QueryPlan {
   Encoding encoding_;
   sat::CnfFormula formula_;
   PlanTimings timings_;
-  AcyclicityEncoding acyclicity_ = AcyclicityEncoding::kVertexElimination;
   mutable std::atomic<std::uint64_t> model_version_{0};
 
   bool simplified_ = false;

@@ -1,8 +1,10 @@
 #include "sat/dimacs.h"
 
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
+#include <utility>
 
 namespace whyprov::sat {
 
@@ -11,7 +13,7 @@ util::Result<CnfFormula> ParseDimacs(std::string_view text) {
   std::istringstream in{std::string(text)};
   std::string token;
   bool header_seen = false;
-  std::vector<int> clause;
+  std::vector<Lit> clause;
   while (in >> token) {
     if (token == "c") {
       std::string rest;
@@ -37,13 +39,15 @@ util::Result<CnfFormula> ParseDimacs(std::string_view text) {
       return util::Status::Error("malformed DIMACS literal '" + token + "'");
     }
     if (value == 0) {
-      formula.clauses.push_back(clause);
+      if (clause.empty()) formula.contains_empty_clause = true;
+      formula.clauses.push_back(std::move(clause));
       clause.clear();
     } else {
       if (std::abs(value) > formula.num_vars) {
         return util::Status::Error("literal exceeds declared variable count");
       }
-      clause.push_back(static_cast<int>(value));
+      clause.push_back(
+          Lit::Make(static_cast<Var>(std::abs(value) - 1), value < 0));
     }
   }
   if (!clause.empty()) {
@@ -55,9 +59,9 @@ util::Result<CnfFormula> ParseDimacs(std::string_view text) {
 std::string WriteDimacs(const CnfFormula& formula) {
   std::string out = "p cnf " + std::to_string(formula.num_vars) + " " +
                     std::to_string(formula.clauses.size()) + "\n";
-  for (const auto& clause : formula.clauses) {
-    for (int lit : clause) {
-      out += std::to_string(lit);
+  for (const std::vector<Lit>& clause : formula.clauses) {
+    for (Lit lit : clause) {
+      out += std::to_string(lit.negated() ? -(lit.var() + 1) : lit.var() + 1);
       out += ' ';
     }
     out += "0\n";
@@ -65,30 +69,16 @@ std::string WriteDimacs(const CnfFormula& formula) {
   return out;
 }
 
-bool LoadIntoSolver(const CnfFormula& formula, SolverInterface& solver) {
-  while (solver.NumVars() < formula.num_vars) solver.NewVar();
-  for (const auto& clause : formula.clauses) {
-    std::vector<Lit> lits;
-    lits.reserve(clause.size());
-    for (int lit : clause) {
-      lits.push_back(Lit::Make(std::abs(lit) - 1, lit < 0));
-    }
-    if (!solver.AddClause(std::move(lits))) return false;
-  }
-  return true;
-}
-
 bool BruteForceSat(const CnfFormula& formula, std::vector<bool>* model) {
   const int n = formula.num_vars;
   for (std::uint64_t assignment = 0;
        assignment < (std::uint64_t{1} << n); ++assignment) {
     bool all_satisfied = true;
-    for (const auto& clause : formula.clauses) {
+    for (const std::vector<Lit>& clause : formula.clauses) {
       bool satisfied = false;
-      for (int lit : clause) {
-        const int v = std::abs(lit) - 1;
-        const bool value = (assignment >> v) & 1;
-        if ((lit > 0) == value) {
+      for (Lit lit : clause) {
+        const bool value = (assignment >> lit.var()) & 1;
+        if (value != lit.negated()) {
           satisfied = true;
           break;
         }

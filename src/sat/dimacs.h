@@ -5,31 +5,18 @@
 #include <string_view>
 #include <vector>
 
-#include "sat/solver_interface.h"
-#include "sat/types.h"
+#include "sat/cnf_formula.h"
 #include "util/status.h"
 
 namespace whyprov::sat {
 
-/// A CNF formula in a solver-independent form: clauses of DIMACS-style
-/// signed literals (1-based; negative = negated). Used by tests, the
-/// DIMACS reader/writer, and the exhaustive reference solver.
-struct CnfFormula {
-  int num_vars = 0;
-  std::vector<std::vector<int>> clauses;
-};
-
 /// Parses DIMACS CNF text ("p cnf <vars> <clauses>" header, 'c' comments,
-/// zero-terminated clauses).
+/// zero-terminated clauses). DIMACS variable i becomes variable i-1.
 util::Result<CnfFormula> ParseDimacs(std::string_view text);
 
-/// Renders a formula as DIMACS CNF text.
+/// Renders a formula's variables and clauses as DIMACS CNF text (search
+/// hints are not part of the format).
 std::string WriteDimacs(const CnfFormula& formula);
-
-/// Loads a formula into `solver`, creating variables as needed so that
-/// DIMACS variable i maps to solver variable i-1. Returns false if the
-/// formula is trivially unsatisfiable.
-bool LoadIntoSolver(const CnfFormula& formula, SolverInterface& solver);
 
 /// Exhaustive truth-table satisfiability check (reference implementation
 /// for property tests; practical up to ~24 variables). Returns a model as

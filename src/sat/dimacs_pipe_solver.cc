@@ -13,27 +13,12 @@ namespace whyprov::sat {
 
 namespace {
 
-/// Writes the formula (reusing the shared DIMACS writer) to a fresh
+/// Writes the formula (through the shared DIMACS writer) to a fresh
 /// temporary file; returns "" on failure.
-std::string WriteTempCnf(int num_vars,
-                         const std::vector<std::vector<Lit>>& clauses,
-                         const std::vector<Lit>& assumptions) {
+std::string WriteTempCnf(const CnfFormula& formula) {
   char path[] = "/tmp/whyprov-cnf-XXXXXX";
   const int fd = mkstemp(path);
   if (fd < 0) return "";
-  CnfFormula formula;
-  formula.num_vars = num_vars;
-  formula.clauses.reserve(clauses.size() + assumptions.size());
-  auto to_dimacs = [](Lit l) {
-    return l.negated() ? -(l.var() + 1) : l.var() + 1;
-  };
-  for (const std::vector<Lit>& clause : clauses) {
-    std::vector<int> dimacs_clause;
-    dimacs_clause.reserve(clause.size());
-    for (Lit l : clause) dimacs_clause.push_back(to_dimacs(l));
-    formula.clauses.push_back(std::move(dimacs_clause));
-  }
-  for (Lit l : assumptions) formula.clauses.push_back({to_dimacs(l)});
   const std::string text = WriteDimacs(formula);
   const bool wrote =
       write(fd, text.data(), text.size()) == static_cast<ssize_t>(text.size());
@@ -54,7 +39,7 @@ DimacsPipeSolver::DimacsPipeSolver(std::string command, SolverOptions options)
 
 Var DimacsPipeSolver::NewVar() {
   model_.push_back(LBool::kUndef);
-  return num_vars_++;
+  return formula_.num_vars++;
 }
 
 bool DimacsPipeSolver::AddClause(std::vector<Lit> lits) {
@@ -63,7 +48,7 @@ bool DimacsPipeSolver::AddClause(std::vector<Lit> lits) {
     ok_ = false;
     return false;
   }
-  clauses_.push_back(std::move(lits));
+  formula_.clauses.push_back(std::move(lits));
   return true;
 }
 
@@ -73,7 +58,11 @@ SolveResult DimacsPipeSolver::Solve(const std::vector<Lit>& assumptions) {
   // cooperative check only gates Solve() entry: a cancelled or expired
   // request at least skips the dump + spawn entirely.
   if (InterruptRequested()) return SolveResult::kUnknown;
-  const std::string path = WriteTempCnf(num_vars_, clauses_, assumptions);
+  // Assumptions ride along as unit clauses of this one query only.
+  const std::size_t num_clauses = formula_.clauses.size();
+  for (Lit l : assumptions) formula_.clauses.push_back({l});
+  const std::string path = WriteTempCnf(formula_);
+  formula_.clauses.resize(num_clauses);
   if (path.empty()) return SolveResult::kUnknown;
   const std::string invocation = command_ + " " + path + " 2>/dev/null";
   FILE* pipe = popen(invocation.c_str(), "r");
@@ -91,8 +80,9 @@ SolveResult DimacsPipeSolver::Solve(const std::vector<Lit>& assumptions) {
   unlink(path.c_str());
 
   SolveResult result = SolveResult::kUnknown;
-  std::vector<LBool> model(num_vars_, LBool::kFalse);
-  bool saw_model_literal = num_vars_ == 0;
+  const int num_vars = formula_.num_vars;
+  std::vector<LBool> model(num_vars, LBool::kFalse);
+  bool saw_model_literal = num_vars == 0;
   std::istringstream lines(output);
   std::string line;
   while (std::getline(lines, line)) {
@@ -111,7 +101,7 @@ SolveResult DimacsPipeSolver::Solve(const std::vector<Lit>& assumptions) {
         const long value = std::strtol(token.c_str(), &end, 10);
         if (end == nullptr || *end != '\0' || value == 0) continue;
         const long var = (value > 0 ? value : -value) - 1;
-        if (var >= 0 && var < num_vars_) {
+        if (var >= 0 && var < num_vars) {
           model[var] = value > 0 ? LBool::kTrue : LBool::kFalse;
           saw_model_literal = true;
         }

@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "sat/cnf_formula.h"
 #include "sat/solver_interface.h"
 #include "sat/types.h"
 
@@ -39,7 +40,7 @@ class DimacsPipeSolver : public SolverInterface {
   DimacsPipeSolver& operator=(const DimacsPipeSolver&) = delete;
 
   Var NewVar() override;
-  int NumVars() const override { return num_vars_; }
+  int NumVars() const override { return formula_.num_vars; }
   bool AddClause(std::vector<Lit> lits) override;
   SolveResult Solve(const std::vector<Lit>& assumptions = {}) override;
   LBool ModelValue(Var v) const override { return model_[v]; }
@@ -52,8 +53,8 @@ class DimacsPipeSolver : public SolverInterface {
 
  private:
   std::string command_;
-  int num_vars_ = 0;
-  std::vector<std::vector<Lit>> clauses_;
+  /// Every variable and clause added so far, written out per Solve().
+  CnfFormula formula_;
   std::vector<LBool> model_;
   SolverStats stats_;
   bool ok_ = true;

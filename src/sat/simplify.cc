@@ -12,31 +12,16 @@ namespace whyprov::sat {
 
 namespace {
 
+/// The per-mode limits: technique rounds plus one step budget per phase.
 struct Budgets {
   int max_rounds;
   std::int64_t probe;
   std::int64_t subsume;
   std::int64_t eliminate;
-  double time_seconds;
 };
 
-Budgets ResolveBudgets(const SimplifyOptions& options) {
-  const bool full = options.mode == SimplifyMode::kFull;
-  Budgets budgets;
-  budgets.max_rounds =
-      options.max_rounds > 0 ? options.max_rounds : (full ? 3 : 1);
-  budgets.probe = options.probe_budget > 0 ? options.probe_budget
-                                           : (full ? 2'000'000 : 200'000);
-  budgets.subsume = options.subsume_budget > 0 ? options.subsume_budget
-                                               : (full ? 5'000'000 : 500'000);
-  budgets.eliminate = options.eliminate_budget > 0
-                          ? options.eliminate_budget
-                          : (full ? 2'000'000 : 200'000);
-  budgets.time_seconds = options.time_budget_seconds > 0
-                             ? options.time_budget_seconds
-                             : (full ? 2.0 : 0.25);
-  return budgets;
-}
+constexpr Budgets kFastBudgets{1, 200'000, 500'000, 200'000};
+constexpr Budgets kFullBudgets{3, 2'000'000, 5'000'000, 2'000'000};
 
 std::uint64_t SigOf(const std::vector<Lit>& lits) {
   std::uint64_t sig = 0;
@@ -85,13 +70,12 @@ class Simplifier {
     std::uint64_t previous = ChangeCounter();
     for (int round = 0; round < budgets_.max_rounds && !unsat_; ++round) {
       ++stats_.rounds;
-      if (!TimeLeft()) break;
       ProbeRound();
-      if (unsat_ || !TimeLeft()) break;
+      if (unsat_) break;
       CollapseEquivalences();
-      if (unsat_ || !TimeLeft()) break;
+      if (unsat_) break;
       SubsumeRound();
-      if (unsat_ || !TimeLeft()) break;
+      if (unsat_) break;
       EliminateRound();
       if (unsat_) break;
       const std::uint64_t now = ChangeCounter();
@@ -103,12 +87,6 @@ class Simplifier {
 
  private:
   // --- shared machinery ----------------------------------------------------
-
-  bool TimeLeft() {
-    if (timer_.ElapsedSeconds() < budgets_.time_seconds) return true;
-    stats_.budget_hit = true;
-    return false;
-  }
 
   std::uint64_t ChangeCounter() const {
     return stats_.units_fixed + stats_.equivalences + stats_.clauses_subsumed +
@@ -287,7 +265,6 @@ class Simplifier {
         stats_.budget_hit = true;
         return;
       }
-      if ((v & 0xFF) == 0 && !TimeLeft()) return;
       const auto index = static_cast<std::size_t>(v);
       if (removed_[index] || assign_[index] != LBool::kUndef) continue;
       for (const bool negated : {false, true}) {
@@ -496,7 +473,6 @@ class Simplifier {
         stats_.budget_hit = true;
         break;
       }
-      if ((ci & 0x3F) == 0 && !TimeLeft()) break;
       const Clause& self = clauses_[static_cast<std::size_t>(ci)];
       if (self.deleted || self.lits.empty()) continue;
       // Pivot on the literal with the shortest occurrence list.
@@ -588,7 +564,6 @@ class Simplifier {
         stats_.budget_hit = true;
         break;
       }
-      if ((v & 0xFF) == 0 && !TimeLeft()) break;
       const auto index = static_cast<std::size_t>(v);
       if (!eliminable_[index] || frozen_[index] || removed_[index] ||
           assign_[index] != LBool::kUndef) {
@@ -719,7 +694,6 @@ class Simplifier {
   const CnfFormula& input_;
   const Budgets budgets_;
   const Var num_vars_;
-  util::Timer timer_;
 
   std::vector<Clause> clauses_;
   std::vector<LBool> assign_;
@@ -760,10 +734,12 @@ SimplifyResult IdentityResult(const CnfFormula& input) {
 
 SimplifyResult Simplify(const CnfFormula& input, const std::vector<Var>& frozen,
                         const std::vector<Var>& eliminable,
-                        const SimplifyOptions& options) {
-  if (options.mode == SimplifyMode::kOff) return IdentityResult(input);
+                        SimplifyMode mode) {
+  if (mode == SimplifyMode::kOff) return IdentityResult(input);
   util::Timer timer;
-  Simplifier simplifier(input, frozen, eliminable, ResolveBudgets(options));
+  Simplifier simplifier(input, frozen, eliminable,
+                        mode == SimplifyMode::kFull ? kFullBudgets
+                                                    : kFastBudgets);
   SimplifyResult result = simplifier.Run();
   result.stats.seconds = timer.ElapsedSeconds();
   return result;

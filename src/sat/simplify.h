@@ -33,23 +33,15 @@ namespace whyprov::sat {
 /// of the original formula over the original variables. Blocked-clause
 /// elimination is deliberately absent: it preserves satisfiability but not
 /// the projected model set that enumeration needs.
+///
+/// Every phase stops on a step budget fixed per mode (probing counts clause
+/// visits, subsumption counts subset checks, elimination counts resolvent
+/// pairs); none reads the clock. The output is therefore a deterministic
+/// function of the input, the frozen/eliminable sets and the mode.
 enum class SimplifyMode : std::uint8_t {
   kOff = 0,   ///< Return the input untouched (identity var map).
   kFast = 1,  ///< One round, tight step budgets; bounded Prepare latency.
-  kFull = 2,  ///< Iterate to fixpoint (bounded rounds), larger budgets.
-};
-
-struct SimplifyOptions {
-  SimplifyMode mode = SimplifyMode::kFast;
-  /// Maximum technique rounds; <=0 derives from mode (fast 1, full 3).
-  int max_rounds = 0;
-  /// Step budgets; <=0 derives from mode. Probing counts clause visits,
-  /// subsumption counts subset checks, elimination counts resolvent pairs.
-  std::int64_t probe_budget = 0;
-  std::int64_t subsume_budget = 0;
-  std::int64_t eliminate_budget = 0;
-  /// Wall-clock cap for the whole pass; <=0 derives from mode.
-  double time_budget_seconds = 0.0;
+  kFull = 2,  ///< Iterate to fixpoint (at most 3 rounds), larger budgets.
 };
 
 struct SimplifyStats {
@@ -66,8 +58,8 @@ struct SimplifyStats {
   std::uint64_t clauses_strengthened = 0;  ///< Self-subsuming resolutions.
   std::uint64_t vars_eliminated = 0;       ///< Bounded variable elimination.
   std::uint64_t rounds = 0;
-  bool budget_hit = false;  ///< Some phase stopped on a step/time budget.
-  double seconds = 0.0;
+  bool budget_hit = false;  ///< Some phase stopped on its step budget.
+  double seconds = 0.0;     ///< Wall time of the pass (reporting only).
 };
 
 struct SimplifyResult {
@@ -103,7 +95,7 @@ struct SimplifyResult {
 /// With `mode == kOff` this is the identity transform (modulo copying).
 SimplifyResult Simplify(const CnfFormula& input, const std::vector<Var>& frozen,
                         const std::vector<Var>& eliminable,
-                        const SimplifyOptions& options);
+                        SimplifyMode mode);
 
 }  // namespace whyprov::sat
 

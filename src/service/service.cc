@@ -352,17 +352,17 @@ double Service::EstimateCost(const Request& request) const {
   switch (request.op.index()) {
     case 0: {
       const EnumerateRequest& op = std::get<EnumerateRequest>(request.op);
-      peek = engine_.PeekPlanCost(op.target, op.target_text, op.acyclicity);
+      peek = engine_.PeekPlanCost(op.target, op.target_text);
       break;
     }
     case 1: {
       const DecideRequest& op = std::get<DecideRequest>(request.op);
-      peek = engine_.PeekPlanCost(op.target, op.target_text, op.acyclicity);
+      peek = engine_.PeekPlanCost(op.target, op.target_text);
       break;
     }
     default: {
       const ExplainRequest& op = std::get<ExplainRequest>(request.op);
-      peek = engine_.PeekPlanCost(op.target, op.target_text, op.acyclicity);
+      peek = engine_.PeekPlanCost(op.target, op.target_text);
       break;
     }
   }
@@ -375,12 +375,10 @@ double Service::EstimateCost(const Request& request) const {
 }
 
 util::Result<PreparedQuery> Service::PrepareFor(
-    dl::FactId target, const std::string& target_text,
-    std::optional<provenance::AcyclicityEncoding> acyclicity) const {
+    dl::FactId target, const std::string& target_text) const {
   PrepareRequest prepare;
   prepare.target = target;
   prepare.target_text = target_text;
-  prepare.acyclicity = acyclicity;
   return engine_.Prepare(prepare);
 }
 
@@ -434,7 +432,6 @@ void Service::ExecuteEnumerate(const std::shared_ptr<Ticket::State>& state,
   response.exhausted = enumeration.value().exhausted();
   response.incomplete = enumeration.value().incomplete();
   response.hit_member_cap = enumeration.value().hit_member_cap();
-  response.hit_timeout = enumeration.value().hit_timeout();
   response.status = enumeration.value().interruption_status();
   if (response.status.ok() && evicted) {
     response.status = util::Status::ResourceExhausted(
@@ -484,8 +481,8 @@ void Service::Execute(const std::shared_ptr<Ticket::State>& state) {
         // Execute through a prepared plan: it pins one snapshot, so the
         // reported model_version is exactly the version the verdict was
         // computed against even if a delta lands mid-request.
-        util::Result<PreparedQuery> prepared = PrepareFor(
-            request.target, request.target_text, request.acyclicity);
+        util::Result<PreparedQuery> prepared =
+            PrepareFor(request.target, request.target_text);
         if (!prepared.ok()) {
           response.status = prepared.status();
           break;
@@ -516,8 +513,8 @@ void Service::Execute(const std::shared_ptr<Ticket::State>& state) {
       request.cancellation = token;
       // As for Decide: the prepared plan pins the snapshot the proof tree
       // is reconstructed from, making the reported version exact.
-      util::Result<PreparedQuery> prepared = PrepareFor(
-          request.target, request.target_text, request.acyclicity);
+      util::Result<PreparedQuery> prepared =
+          PrepareFor(request.target, request.target_text);
       if (!prepared.ok()) {
         response.status = prepared.status();
         break;
@@ -706,7 +703,6 @@ BatchEnumerateResult Service::EnumerateBatch(
       outcome.exhausted = response.exhausted;
       outcome.incomplete = response.incomplete;
       outcome.hit_member_cap = response.hit_member_cap;
-      outcome.hit_timeout = response.hit_timeout;
       outcome.seconds = response.exec_seconds;
     }
     if (outcome.status.ok()) {

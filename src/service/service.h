@@ -20,6 +20,7 @@
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
+#include "util/timer.h"
 
 namespace whyprov {
 
@@ -69,7 +70,6 @@ struct Response {
   bool exhausted = false;
   bool incomplete = false;
   bool hit_member_cap = false;
-  bool hit_timeout = false;
 
   bool member = false;  ///< Decide verdict (meaningful when status.ok())
   std::optional<Explanation> explanation;  ///< Explain payload
@@ -217,7 +217,6 @@ struct BatchEnumerateOutcome {
   bool exhausted = false;
   bool incomplete = false;
   bool hit_member_cap = false;
-  bool hit_timeout = false;
   double seconds = 0;  ///< wall-clock spent executing this request
 };
 
@@ -400,11 +399,10 @@ class Service {
               Response response);
   void ExecuteEnumerate(const std::shared_ptr<Ticket::State>& state,
                         Response& response);
-  /// Cache-through Prepare for a request's (target, acyclicity): pins the
-  /// snapshot the execution serves, so Response::model_version is exact.
+  /// Cache-through Prepare for a request's target: pins the snapshot the
+  /// execution serves, so Response::model_version is exact.
   util::Result<PreparedQuery> PrepareFor(
-      datalog::FactId target, const std::string& target_text,
-      std::optional<provenance::AcyclicityEncoding> acyclicity) const;
+      datalog::FactId target, const std::string& target_text) const;
 
   Engine engine_;
   /// The durability tier (null = memory-only), opened from the engine

@@ -157,12 +157,6 @@ class Executor {
     return queue_->size();
   }
 
-  /// Tasks currently executing on workers.
-  std::size_t active() const EXCLUDES(mutex_) {
-    const MutexLock lock(mutex_);
-    return active_;
-  }
-
   /// Stops admission, drains every queued task, joins the workers.
   /// Idempotent.
   void Shutdown() EXCLUDES(mutex_) {
@@ -191,13 +185,8 @@ class Executor {
         while (!shutdown_ && queue_->size() == 0) work_cv_.Wait(mutex_);
         if (queue_->size() == 0) return;  // shutdown with a drained queue
         task = queue_->Pop();
-        ++active_;
       }
       task();
-      {
-        const MutexLock lock(mutex_);
-        --active_;
-      }
     }
   }
 
@@ -207,7 +196,6 @@ class Executor {
   /// The discipline object is shared (e.g. a scheduler the owner also
   /// configures), but every Push/Pop/size call happens under mutex_.
   const std::shared_ptr<TaskQueue> queue_ GUARDED_BY(mutex_);
-  std::size_t active_ GUARDED_BY(mutex_) = 0;
   bool shutdown_ GUARDED_BY(mutex_) = false;
   std::vector<std::thread> workers_;
 };

@@ -1,16 +1,20 @@
 // Tests for the all-at-once baseline (the Figure 5 comparator).
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "provenance/baseline.h"
 #include "provenance/decision.h"
 #include "provenance/enumerator.h"
+#include "sat/solver.h"
 #include "tests/workspace.h"
 #include "util/rng.h"
 
 namespace whyprov::provenance {
 namespace {
 
+using whyprov::testing::BuildPlan;
 using whyprov::testing::FamilyToStrings;
 using whyprov::testing::MakeWorkspace;
 using whyprov::testing::Workspace;
@@ -116,7 +120,9 @@ TEST_P(BaselineVsSatTest, WhyUnIsSubsetOfWhy) {
   for (dl::FactId target : model.Relation(a)) {
     auto why = ComputeWhyAllAtOnce(w.program, model, target);
     ASSERT_TRUE(why.ok());
-    WhyProvenanceEnumerator enumerator(w.program, model, target);
+    WhyProvenanceEnumerator enumerator(model,
+                                       BuildPlan(w.program, model, target),
+                                       std::make_unique<sat::Solver>());
     for (auto member = enumerator.Next(); member.has_value();
          member = enumerator.Next()) {
       EXPECT_TRUE(why.value().contains(*member))

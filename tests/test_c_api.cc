@@ -2,7 +2,8 @@
 // cancel/stream-next/destroy lifecycle, status-code mirroring, both
 // enumeration modes (materialised index walk and streaming pull with
 // backpressure), decide/explain/delta payloads, deadline propagation,
-// and the num_shards compatibility field. Everything here goes through
+// enum-valued inputs, and the num_shards compatibility field. Everything
+// here goes through
 // the extern "C" surface only — what a foreign-language binding would
 // see.
 
@@ -367,6 +368,74 @@ TEST(CApiNumShardsTest, ZeroAndOneServeAndTwoIsInvalid) {
   EXPECT_EQ(handle.status, WHYPROV_INVALID_ARGUMENT);
   EXPECT_EQ(handle.service, nullptr);
   EXPECT_NE(std::strstr(handle.error, "num_shards"), nullptr) << handle.error;
+}
+
+// --- enum-valued inputs are validated, not silently defaulted -------------
+
+TEST(CApiEnumInputTest, PlanSimplifyOutsideTheEnumFailsCreate) {
+  for (const int plan_simplify :
+       {WHYPROV_SIMPLIFY_DEFAULT, WHYPROV_SIMPLIFY_OFF, WHYPROV_SIMPLIFY_FAST,
+        WHYPROV_SIMPLIFY_FULL}) {
+    whyprov_options options;
+    whyprov_options_init(&options);
+    options.plan_simplify = plan_simplify;
+    ServiceHandle handle(&options);
+    ASSERT_EQ(handle.status, WHYPROV_OK) << handle.error;
+    whyprov_ticket* ticket = nullptr;
+    ASSERT_EQ(whyprov_submit_enumerate(handle.service, kTarget, 0, 0, 0,
+                                       &ticket),
+              WHYPROV_OK);
+    EXPECT_EQ(whyprov_ticket_num_members(ticket), kDiamondMembers);
+    whyprov_ticket_destroy(ticket);
+  }
+  for (const int plan_simplify : {-1, 4, 42}) {
+    whyprov_options options;
+    whyprov_options_init(&options);
+    options.plan_simplify = plan_simplify;
+    ServiceHandle handle(&options);
+    EXPECT_EQ(handle.status, WHYPROV_INVALID_ARGUMENT) << plan_simplify;
+    EXPECT_EQ(handle.service, nullptr);
+    EXPECT_NE(std::strstr(handle.error, "plan_simplify"), nullptr)
+        << handle.error;
+  }
+}
+
+TEST(CApiEnumInputTest, TreeClassOutsideTheEnumFailsSubmit) {
+  ServiceHandle handle;
+  ASSERT_EQ(handle.status, WHYPROV_OK) << handle.error;
+  const char* member[] = {"edge(a, m1)", "edge(m1, b)"};
+  // Every proof-tree class has the one-route member.
+  for (const whyprov_tree_class tree_class :
+       {WHYPROV_TREE_ANY, WHYPROV_TREE_NON_RECURSIVE,
+        WHYPROV_TREE_MINIMAL_DEPTH, WHYPROV_TREE_UNAMBIGUOUS}) {
+    whyprov_ticket* ticket = nullptr;
+    ASSERT_EQ(whyprov_submit_decide(handle.service, kTarget, member, 2,
+                                    tree_class, 0, &ticket),
+              WHYPROV_OK);
+    EXPECT_EQ(whyprov_ticket_status(ticket), WHYPROV_OK);
+    EXPECT_EQ(whyprov_ticket_decision(ticket), 1) << tree_class;
+    whyprov_ticket_destroy(ticket);
+  }
+  for (const int tree_class : {-1, 4, 7}) {
+    whyprov_ticket* ticket = nullptr;
+    EXPECT_EQ(whyprov_submit_decide(
+                  handle.service, kTarget, member, 2,
+                  static_cast<whyprov_tree_class>(tree_class), 0, &ticket),
+              WHYPROV_INVALID_ARGUMENT)
+        << tree_class;
+    EXPECT_EQ(ticket, nullptr);
+    EXPECT_EQ(whyprov_submit_decide_qos(
+                  handle.service, kTarget, member, 2,
+                  static_cast<whyprov_tree_class>(tree_class), 0,
+                  WHYPROV_QOS_BATCH, "tenant", &ticket),
+              WHYPROV_INVALID_ARGUMENT)
+        << tree_class;
+    EXPECT_EQ(ticket, nullptr);
+  }
+  // Nothing was admitted for the rejected submits.
+  whyprov_stats stats;
+  whyprov_service_stats(handle.service, &stats);
+  EXPECT_EQ(stats.submitted, 4u);
 }
 
 TEST(CApiStatsTest, CountersTrackTheServedRequests) {

@@ -3,6 +3,7 @@
 // inclusion structure between the four proof-tree classes must hold.
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -10,12 +11,14 @@
 
 #include "provenance/decision.h"
 #include "provenance/enumerator.h"
+#include "sat/solver.h"
 #include "tests/workspace.h"
 #include "util/rng.h"
 
 namespace whyprov::provenance {
 namespace {
 
+using whyprov::testing::BuildPlan;
 using whyprov::testing::FamilyToStrings;
 using whyprov::testing::MakeWorkspace;
 using whyprov::testing::Workspace;
@@ -23,13 +26,24 @@ namespace dl = whyprov::datalog;
 
 ProvenanceFamily CollectSat(const dl::Program& program,
                             const dl::Model& model, dl::FactId target) {
-  WhyProvenanceEnumerator enumerator(program, model, target);
+  WhyProvenanceEnumerator enumerator(model, BuildPlan(program, model, target),
+                                     std::make_unique<sat::Solver>());
   ProvenanceFamily family;
   for (auto member = enumerator.Next(); member.has_value();
        member = enumerator.Next()) {
     family.insert(*member);
   }
   return family;
+}
+
+/// The SAT membership decision on a freshly built plan and CDCL solver.
+bool IsMemberSat(const dl::Program& program, const dl::Model& model,
+                 dl::FactId target, const std::vector<dl::Fact>& dprime) {
+  sat::Solver solver;
+  const util::Result<bool> verdict = IsWhyUnMemberPrepared(
+      *BuildPlan(program, model, target), model, dprime, solver);
+  EXPECT_TRUE(verdict.ok()) << verdict.status().message();
+  return verdict.ok() && verdict.value();
 }
 
 TEST(DecisionTest, SatMembershipOnPaperExample) {
@@ -43,20 +57,20 @@ TEST(DecisionTest, SatMembershipOnPaperExample) {
   const dl::Model model = dl::Evaluator::Evaluate(w.program, w.database);
   const dl::FactId target = *model.Find(w.ParseFact("a(d)"));
   // {s(a), t(a,a,d)} is a whyUN member.
-  EXPECT_TRUE(IsWhyUnMemberSat(
+  EXPECT_TRUE(IsMemberSat(
       w.program, model, target,
       {w.ParseFact("s(a)"), w.ParseFact("t(a, a, d)")}));
   // The whole database is a why member but NOT a whyUN member.
-  EXPECT_FALSE(IsWhyUnMemberSat(w.program, model, target,
-                                {w.ParseFact("s(a)"), w.ParseFact("t(a, a, b)"),
-                                 w.ParseFact("t(a, a, c)"),
-                                 w.ParseFact("t(a, a, d)"),
-                                 w.ParseFact("t(b, c, a)")}));
+  EXPECT_FALSE(IsMemberSat(w.program, model, target,
+                           {w.ParseFact("s(a)"), w.ParseFact("t(a, a, b)"),
+                            w.ParseFact("t(a, a, c)"),
+                            w.ParseFact("t(a, a, d)"),
+                            w.ParseFact("t(b, c, a)")}));
   // A subset that is not sufficient.
   EXPECT_FALSE(
-      IsWhyUnMemberSat(w.program, model, target, {w.ParseFact("s(a)")}));
+      IsMemberSat(w.program, model, target, {w.ParseFact("s(a)")}));
   // A fact outside the closure.
-  EXPECT_FALSE(IsWhyUnMemberSat(
+  EXPECT_FALSE(IsMemberSat(
       w.program, model, target,
       {w.ParseFact("s(a)"), w.ParseFact("t(a, a, d)"),
        w.ParseFact("t(a, a, b)")}));
@@ -149,7 +163,7 @@ TEST_P(RandomInstanceTest, SatMembershipAgreesWithFamily) {
     ASSERT_TRUE(family.ok());
     // Positive checks: every member must be accepted.
     for (const auto& member : family.value()) {
-      EXPECT_TRUE(IsWhyUnMemberSat(w.program, model, target, member));
+      EXPECT_TRUE(IsMemberSat(w.program, model, target, member));
     }
     // Negative checks: random subsets of D not in the family are rejected.
     for (int trial = 0; trial < 5; ++trial) {
@@ -159,8 +173,7 @@ TEST_P(RandomInstanceTest, SatMembershipAgreesWithFamily) {
       }
       std::sort(subset.begin(), subset.end());
       const bool in_family = family.value().contains(subset);
-      EXPECT_EQ(IsWhyUnMemberSat(w.program, model, target, subset),
-                in_family);
+      EXPECT_EQ(IsMemberSat(w.program, model, target, subset), in_family);
     }
   }
 }

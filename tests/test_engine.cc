@@ -104,7 +104,7 @@ TEST(EngineEnumerateTest, PaperExample1WhyUnHasSingleMember) {
             (std::set<std::string>{"{s(a), t(a, a, d)}"}));
   EXPECT_TRUE(enumeration.value().exhausted());
   EXPECT_FALSE(enumeration.value().hit_member_cap());
-  EXPECT_FALSE(enumeration.value().hit_timeout());
+  EXPECT_FALSE(enumeration.value().deadline_exceeded());
 }
 
 TEST(EngineEnumerateTest, PaperExample4WhyUnHasTwoMembers) {
@@ -234,11 +234,13 @@ TEST(EngineBackendTest, FailingExternalSolverIsReportedAsIncomplete) {
   // and the enumeration must flag itself incomplete instead of passing
   // the empty result off as a genuinely empty family.
   setenv("WHYPROV_DIMACS_SOLVER", "/bin/false", /*overwrite=*/1);
-  auto engine = Engine::FromText(kExample1Program, kExample1Database, "a");
+  EngineOptions options;
+  options.solver_backend = "dimacs-pipe";
+  auto engine =
+      Engine::FromText(kExample1Program, kExample1Database, "a", options);
   ASSERT_TRUE(engine.ok());
   EnumerateRequest request;
   request.target_text = "a(d)";
-  request.solver_backend = "dimacs-pipe";
   auto enumeration = engine.value().Enumerate(request);
   ASSERT_TRUE(enumeration.ok()) << enumeration.status().message();
   EXPECT_TRUE(enumeration.value().All().empty());
@@ -249,7 +251,6 @@ TEST(EngineBackendTest, FailingExternalSolverIsReportedAsIncomplete) {
   decide.target_text = "a(d)";
   decide.candidate = {engine.value().model().fact(
       engine.value().FactIdOf("s(a)").value())};
-  decide.solver_backend = "dimacs-pipe";
   auto verdict = engine.value().Decide(decide);
   ASSERT_FALSE(verdict.ok());
   EXPECT_EQ(verdict.status().code(), util::StatusCode::kResourceExhausted);
@@ -258,14 +259,16 @@ TEST(EngineBackendTest, FailingExternalSolverIsReportedAsIncomplete) {
 
 TEST(EngineBackendTest, CdclAndDpllAgreeOnPaperExample) {
   for (const char* database : {kExample1Database, kExample4Database}) {
-    auto engine = Engine::FromText(kExample1Program, database, "a");
-    ASSERT_TRUE(engine.ok());
     pv::ProvenanceFamily families[2];
     int index = 0;
     for (const char* backend : {"cdcl", "dpll"}) {
+      EngineOptions options;
+      options.solver_backend = backend;
+      auto engine =
+          Engine::FromText(kExample1Program, database, "a", options);
+      ASSERT_TRUE(engine.ok());
       EnumerateRequest request;
       request.target_text = "a(d)";
-      request.solver_backend = backend;
       auto enumeration = engine.value().Enumerate(request);
       ASSERT_TRUE(enumeration.ok()) << enumeration.status().message();
       EXPECT_EQ(enumeration.value().solver().name(), backend);
@@ -283,25 +286,30 @@ TEST(EngineBackendTest, CdclAndDpllAgreeOnAScenarioInstance) {
   const auto scenario = scenarios::MakeTransClosure(
       scenarios::GraphKind::kSparse, /*num_nodes=*/24, /*num_edges=*/30,
       /*seed=*/20240611);
-  EngineOptions options;
-  options.sampling_seed = 7;
-  const Engine engine = scenario.MakeEngine(options);
-  const auto targets = engine.SampleAnswers(3);
+  EngineOptions cdcl_options;
+  cdcl_options.sampling_seed = 7;
+  cdcl_options.solver_backend = "cdcl";
+  EngineOptions dpll_options = cdcl_options;
+  dpll_options.solver_backend = "dpll";
+  const Engine engines[2] = {scenario.MakeEngine(cdcl_options),
+                             scenario.MakeEngine(dpll_options)};
+  const auto targets = engines[0].SampleAnswers(3);
   ASSERT_FALSE(targets.empty());
   for (dl::FactId target : targets) {
+    const std::string target_text = engines[0].FactToText(target);
     pv::ProvenanceFamily families[2];
-    int index = 0;
-    for (const char* backend : {"cdcl", "dpll"}) {
+    for (int index = 0; index < 2; ++index) {
       EnumerateRequest request;
-      request.target = target;
+      request.target_text = target_text;
       request.max_members = 64;
-      request.solver_backend = backend;
-      auto enumeration = engine.Enumerate(request);
+      auto enumeration = engines[index].Enumerate(request);
       ASSERT_TRUE(enumeration.ok()) << enumeration.status().message();
-      families[index++] = Drain(enumeration.value());
+      EXPECT_EQ(enumeration.value().solver().name(),
+                engines[index].options().solver_backend);
+      families[index] = Drain(enumeration.value());
     }
     EXPECT_EQ(families[0], families[1])
-        << "backends disagree on " << engine.FactToText(target);
+        << "backends disagree on " << target_text;
     EXPECT_FALSE(families[0].empty());
   }
 }
@@ -449,9 +457,9 @@ TEST(EnginePlanCacheTest, GetOrBuildCoalescesConcurrentMisses) {
   // One real plan compiled up front; the gated build function below
   // hands it out, so the test controls when the single allowed build
   // finishes — and the waiters must be parked on the flight until then.
-  auto plan = pv::QueryPlan::Build(engine.value().program(),
-                                   engine.value().model(), target.value(),
-                                   pv::CnfEncoder::Options());
+  auto plan = pv::QueryPlan::Build(
+      engine.value().program(), engine.value().model(), target.value(),
+      pv::CnfEncoder::Options(), sat::SimplifyMode::kOff);
   ASSERT_NE(plan, nullptr);
   constexpr std::uint64_t kVersion = 7;
   plan->set_model_version(kVersion);
@@ -473,9 +481,7 @@ TEST(EnginePlanCacheTest, GetOrBuildCoalescesConcurrentMisses) {
   std::vector<std::shared_ptr<const pv::QueryPlan>> results(kThreads);
   for (std::size_t i = 0; i < kThreads; ++i) {
     threads.emplace_back([&, i] {
-      results[i] = cache.GetOrBuild(
-          target.value(), pv::AcyclicityEncoding::kVertexElimination,
-          kVersion, build);
+      results[i] = cache.GetOrBuild(target.value(), kVersion, build);
     });
   }
   // Exactly one thread became the builder (parked on the gate); the
@@ -497,10 +503,7 @@ TEST(EnginePlanCacheTest, GetOrBuildCoalescesConcurrentMisses) {
   EXPECT_EQ(stats.size, 1u);
 
   // The flight is gone: a follow-up lookup is a plain hit, no build.
-  EXPECT_EQ(cache.GetOrBuild(target.value(),
-                             pv::AcyclicityEncoding::kVertexElimination,
-                             kVersion, build),
-            plan);
+  EXPECT_EQ(cache.GetOrBuild(target.value(), kVersion, build), plan);
   EXPECT_EQ(builds.load(), 1u);
   EXPECT_EQ(cache.stats().hits, stats.hits + 1);
 }

@@ -2,6 +2,7 @@
 // on the paper's running examples (Examples 1-4) and Proposition 15.
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 
@@ -11,11 +12,13 @@
 #include "provenance/decision.h"
 #include "provenance/enumerator.h"
 #include "provenance/proof_dag.h"
+#include "sat/solver.h"
 #include "tests/workspace.h"
 
 namespace whyprov::provenance {
 namespace {
 
+using whyprov::testing::BuildPlan;
 using whyprov::testing::FamilyToStrings;
 using whyprov::testing::MakeWorkspace;
 using whyprov::testing::MemberToString;
@@ -44,7 +47,8 @@ TEST(EnumeratorTest, PaperExample1WhyUnHasSingleMember) {
   )");
   const dl::Model model = dl::Evaluator::Evaluate(w.program, w.database);
   const dl::FactId target = *model.Find(w.ParseFact("a(d)"));
-  WhyProvenanceEnumerator enumerator(w.program, model, target);
+  WhyProvenanceEnumerator enumerator(model, BuildPlan(w.program, model, target),
+                                     std::make_unique<sat::Solver>());
   const ProvenanceFamily family = Collect(enumerator);
   EXPECT_EQ(FamilyToStrings(family, *w.symbols),
             (std::set<std::string>{"{s(a), t(a, a, d)}"}));
@@ -62,7 +66,8 @@ TEST(EnumeratorTest, PaperExample4WhyUnHasTwoMembers) {
   )");
   const dl::Model model = dl::Evaluator::Evaluate(w.program, w.database);
   const dl::FactId target = *model.Find(w.ParseFact("a(d)"));
-  WhyProvenanceEnumerator enumerator(w.program, model, target);
+  WhyProvenanceEnumerator enumerator(model, BuildPlan(w.program, model, target),
+                                     std::make_unique<sat::Solver>());
   const ProvenanceFamily family = Collect(enumerator);
   EXPECT_EQ(FamilyToStrings(family, *w.symbols),
             (std::set<std::string>{"{s(a), t(a, a, c), t(c, c, d)}",
@@ -92,7 +97,9 @@ TEST(EnumeratorTest, WhyAndWhyUnDifferOnExample1) {
 TEST(EnumeratorTest, UnderivableTargetEnumeratesNothing) {
   Workspace w = MakeWorkspace("p(X) :- e(X).", "e(a).");
   const dl::Model model = dl::Evaluator::Evaluate(w.program, w.database);
-  WhyProvenanceEnumerator enumerator(w.program, model, dl::kInvalidFact);
+  WhyProvenanceEnumerator enumerator(
+      model, BuildPlan(w.program, model, dl::kInvalidFact),
+      std::make_unique<sat::Solver>());
   EXPECT_FALSE(enumerator.Next().has_value());
 }
 
@@ -104,7 +111,8 @@ TEST(EnumeratorTest, DelaysAreRecordedPerMember) {
                               "edge(a, b). edge(b, c). edge(a, c).");
   const dl::Model model = dl::Evaluator::Evaluate(w.program, w.database);
   const dl::FactId target = *model.Find(w.ParseFact("path(a, c)"));
-  WhyProvenanceEnumerator enumerator(w.program, model, target);
+  WhyProvenanceEnumerator enumerator(model, BuildPlan(w.program, model, target),
+                                     std::make_unique<sat::Solver>());
   const ProvenanceFamily family = Collect(enumerator);
   // Two explanations: the direct edge and the two-hop path.
   EXPECT_EQ(family.size(), 2u);
@@ -122,7 +130,8 @@ TEST(EnumeratorTest, WitnessChoicesUnravelToValidUnambiguousTrees) {
   )");
   const dl::Model model = dl::Evaluator::Evaluate(w.program, w.database);
   const dl::FactId target = *model.Find(w.ParseFact("a(d)"));
-  WhyProvenanceEnumerator enumerator(w.program, model, target);
+  WhyProvenanceEnumerator enumerator(model, BuildPlan(w.program, model, target),
+                                     std::make_unique<sat::Solver>());
   int members = 0;
   for (auto member = enumerator.Next(); member.has_value();
        member = enumerator.Next()) {
@@ -155,12 +164,16 @@ TEST(EnumeratorTest, BothAcyclicityEncodingsYieldTheSameFamily) {
   )");
   const dl::Model model = dl::Evaluator::Evaluate(w.program, w.database);
   const dl::FactId target = *model.Find(w.ParseFact("path(a, d)"));
-  WhyProvenanceEnumerator::Options tc;
+  CnfEncoder::Options tc;
   tc.acyclicity = AcyclicityEncoding::kTransitiveClosure;
-  WhyProvenanceEnumerator::Options ve;
+  CnfEncoder::Options ve;
   ve.acyclicity = AcyclicityEncoding::kVertexElimination;
-  WhyProvenanceEnumerator with_tc(w.program, model, target, tc);
-  WhyProvenanceEnumerator with_ve(w.program, model, target, ve);
+  WhyProvenanceEnumerator with_tc(model,
+                                  BuildPlan(w.program, model, target, tc),
+                                  std::make_unique<sat::Solver>());
+  WhyProvenanceEnumerator with_ve(model,
+                                  BuildPlan(w.program, model, target, ve),
+                                  std::make_unique<sat::Solver>());
   EXPECT_EQ(Collect(with_tc), Collect(with_ve));
 }
 

@@ -15,6 +15,7 @@
 #include "provenance/enumerator.h"
 #include "provenance/fo_rewriting.h"
 #include "provenance/proof_dag.h"
+#include "sat/solver.h"
 #include "scenarios/scenarios.h"
 #include "tests/workspace.h"
 #include "util/rng.h"
@@ -22,6 +23,7 @@
 namespace whyprov::provenance {
 namespace {
 
+using whyprov::testing::BuildPlan;
 using whyprov::testing::MakeWorkspace;
 using whyprov::testing::Workspace;
 namespace dl = whyprov::datalog;
@@ -121,14 +123,19 @@ TEST_P(ScenarioRoundTripTest, MembersRederiveAndUnravel) {
   util::Rng rng(17);
   for (dl::FactId target : pipeline.SampleAnswers(2, rng)) {
     auto enumerator = std::make_unique<WhyProvenanceEnumerator>(
-        pipeline.program(), pipeline.model(), target);
+        pipeline.model(),
+        BuildPlan(pipeline.program(), pipeline.model(), target),
+        std::make_unique<sat::Solver>());
     std::size_t count = 0;
     for (auto member = enumerator->Next();
          member.has_value() && count < 5; member = enumerator->Next()) {
       ++count;
       // Membership: the SAT decision procedure must accept each member.
-      EXPECT_TRUE(IsWhyUnMemberSat(pipeline.program(), pipeline.model(),
-                                   target, *member));
+      sat::Solver solver;
+      const util::Result<bool> verdict = IsWhyUnMemberPrepared(
+          *BuildPlan(pipeline.program(), pipeline.model(), target),
+          pipeline.model(), *member, solver);
+      EXPECT_TRUE(verdict.ok() && verdict.value());
       // Witness: the compressed DAG unravels to a valid unambiguous tree
       // whose support is the member.
       const CompressedDag dag(&enumerator->closure(),
@@ -174,8 +181,10 @@ TEST(NonRecursiveClassCollapseTest, DoctorsFamiliesAgree) {
     EXPECT_EQ(any.value(), nr.value());
     EXPECT_EQ(any.value(), md.value());
     // And the SAT enumerator agrees with all of them.
-    WhyProvenanceEnumerator enumerator(pipeline.program(), pipeline.model(),
-                                       target);
+    WhyProvenanceEnumerator enumerator(
+        pipeline.model(),
+        BuildPlan(pipeline.program(), pipeline.model(), target),
+        std::make_unique<sat::Solver>());
     ProvenanceFamily sat_family;
     for (auto member = enumerator.Next(); member.has_value();
          member = enumerator.Next()) {
@@ -197,7 +206,9 @@ TEST(FoVsSatTest, DoctorsAgreement) {
   util::Rng rng(31);
   for (dl::FactId target : pipeline.SampleAnswers(3, rng)) {
     auto enumerator = std::make_unique<WhyProvenanceEnumerator>(
-        pipeline.program(), pipeline.model(), target);
+        pipeline.model(),
+        BuildPlan(pipeline.program(), pipeline.model(), target),
+        std::make_unique<sat::Solver>());
     for (auto member = enumerator->Next(); member.has_value();
          member = enumerator->Next()) {
       dl::Database dprime(scenario.symbols);
@@ -231,8 +242,10 @@ TEST(BaselineInclusionTest, CsdaWhyContainsWhyUn) {
     auto why = ComputeWhyAllAtOnce(pipeline.program(), pipeline.model(),
                                    target, limits);
     if (!why.ok()) continue;  // family too large for the reference: skip
-    WhyProvenanceEnumerator enumerator(pipeline.program(), pipeline.model(),
-                                       target);
+    WhyProvenanceEnumerator enumerator(
+        pipeline.model(),
+        BuildPlan(pipeline.program(), pipeline.model(), target),
+        std::make_unique<sat::Solver>());
     std::size_t members = 0;
     for (auto member = enumerator.Next();
          member.has_value() && members < 200; member = enumerator.Next()) {

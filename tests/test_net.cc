@@ -522,6 +522,33 @@ TEST(NetServerTest, FailedRequestLeavesTheConnectionUsable) {
   EXPECT_TRUE(good.value().ok());
 }
 
+TEST(NetServerTest, UnknownTreeClassIsAnInvalidArgumentFinal) {
+  ServedStack stack(kDiamondProgram, kDiamondDatabase);
+  ASSERT_TRUE(stack.ok());
+  Client client = MustConnect(stack);
+  // The DECIDE body decodes (tree_class is a plain u8), but the byte names
+  // no proof-tree class: the request fails at submission, before any plan
+  // or closure is built, and the session keeps serving.
+  DecideFrame frame;
+  frame.request_id = client.NextRequestId();
+  frame.target = kTarget;
+  frame.candidate_facts = {"edge(a, m1)", "edge(m1, b)"};
+  frame.tree_class = 7;
+  ASSERT_TRUE(client.Send(frame).ok());
+  auto outcome = client.AwaitFinal(frame.request_id);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().message();
+  EXPECT_EQ(outcome.value().code(), WHYPROV_INVALID_ARGUMENT);
+
+  auto decided = client.Decide(kTarget, {"edge(a, m1)", "edge(m1, b)"});
+  ASSERT_TRUE(decided.ok()) << decided.status().message();
+  ASSERT_TRUE(decided.value().ok());
+  EXPECT_EQ(decided.value().final.verdict, 1);
+
+  auto stats = client.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().message();
+  EXPECT_EQ(stats.value().submitted, 1u);
+}
+
 TEST(NetServerTest, WireDeadlinePropagatesToTheCancellationToken) {
   whyprov_options options;
   whyprov_options_init(&options);

@@ -6,7 +6,9 @@
 
 #include "provenance/baseline.h"
 #include "provenance/decision.h"
+#include "sat/solver.h"
 #include "scenarios/reductions.h"
+#include "tests/workspace.h"
 #include "util/rng.h"
 
 namespace whyprov::scenarios {
@@ -40,8 +42,12 @@ bool WholeDatabaseIsWhyNrMemberSat(const ReductionOutput& reduction) {
       dl::Evaluator::Evaluate(reduction.program, reduction.database);
   auto target = model.Find(reduction.target);
   if (!target.has_value()) return false;
-  return pv::IsWhyUnMemberSat(reduction.program, model, *target,
-                              reduction.database.facts());
+  sat::Solver solver;
+  const util::Result<bool> verdict = pv::IsWhyUnMemberPrepared(
+      *whyprov::testing::BuildPlan(reduction.program, model, *target), model,
+      reduction.database.facts(), solver);
+  EXPECT_TRUE(verdict.ok()) << verdict.status().message();
+  return verdict.ok() && verdict.value();
 }
 
 TEST(ThreeSatReductionTest, ProgramIsLinear) {

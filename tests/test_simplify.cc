@@ -32,7 +32,6 @@ using sat::CnfFormula;
 using sat::LBool;
 using sat::Lit;
 using sat::SimplifyMode;
-using sat::SimplifyOptions;
 using sat::SimplifyResult;
 using sat::Var;
 using whyprov::testing::FamilyToStrings;
@@ -149,9 +148,9 @@ std::vector<bool> Reconstruct(const SimplifyResult& result,
 void CheckPreservesProjectedModels(const CnfFormula& original,
                                    const std::vector<Var>& frozen,
                                    const std::vector<Var>& eliminable,
-                                   const SimplifyOptions& options) {
+                                   SimplifyMode mode) {
   const SimplifyResult result =
-      sat::Simplify(original, frozen, eliminable, options);
+      sat::Simplify(original, frozen, eliminable, mode);
   ASSERT_EQ(result.num_original_vars, original.num_vars);
   for (const Var v : frozen) {
     EXPECT_TRUE(result.var_map[static_cast<std::size_t>(v)].defined())
@@ -182,26 +181,16 @@ void CheckPreservesProjectedModels(const CnfFormula& original,
   }
 }
 
-SimplifyOptions Fast() {
-  SimplifyOptions options;
-  options.mode = SimplifyMode::kFast;
-  return options;
-}
-
-SimplifyOptions Full() {
-  SimplifyOptions options;
-  options.mode = SimplifyMode::kFull;
-  return options;
-}
+constexpr SimplifyMode kFast = SimplifyMode::kFast;
+constexpr SimplifyMode kFull = SimplifyMode::kFull;
 
 // --- kOff is the identity ------------------------------------------------
 
 TEST(SimplifyTest, OffModeIsIdentity) {
   const CnfFormula input =
       MakeFormula(3, {{P(0), P(1)}, {N(1), P(2)}, {P(0)}});
-  SimplifyOptions options;
-  options.mode = SimplifyMode::kOff;
-  const SimplifyResult result = sat::Simplify(input, {0, 1, 2}, {}, options);
+  const SimplifyResult result =
+      sat::Simplify(input, {0, 1, 2}, {}, SimplifyMode::kOff);
   EXPECT_EQ(result.formula.num_vars, 3);
   EXPECT_EQ(result.formula.clauses, input.clauses);
   EXPECT_TRUE(result.stack.empty());
@@ -217,7 +206,7 @@ TEST(SimplifyTest, UnitPropagationToFixpoint) {
   // (x2 | x3) disappears and only the frozen x3 keeps a column.
   const CnfFormula input = MakeFormula(
       4, {{P(0)}, {N(0), P(1)}, {N(1), P(2)}, {P(2), P(3)}});
-  const SimplifyResult result = sat::Simplify(input, {3}, {}, Fast());
+  const SimplifyResult result = sat::Simplify(input, {3}, {}, kFast);
   EXPECT_GE(result.stats.units_fixed, 3u);
   EXPECT_EQ(result.formula.num_vars, 1);
   EXPECT_EQ(result.formula.num_clauses(), 0u);
@@ -229,28 +218,28 @@ TEST(SimplifyTest, UnitPropagationToFixpoint) {
   EXPECT_TRUE(reconstructed[0]);
   EXPECT_TRUE(reconstructed[1]);
   EXPECT_TRUE(reconstructed[2]);
-  CheckPreservesProjectedModels(input, {3}, {}, Fast());
+  CheckPreservesProjectedModels(input, {3}, {}, kFast);
 }
 
 TEST(SimplifyTest, FixedFrozenVariableKeepsExplicitUnit) {
   // Propagation fixes the frozen x1 = true; the output must still carry
   // that fact as a unit clause (decision pinning asserts over it).
   const CnfFormula input = MakeFormula(2, {{P(0)}, {N(0), P(1)}});
-  const SimplifyResult result = sat::Simplify(input, {1}, {}, Fast());
+  const SimplifyResult result = sat::Simplify(input, {1}, {}, kFast);
   ASSERT_TRUE(result.MapLit(P(1)).defined());
   ASSERT_EQ(result.formula.num_clauses(), 1u);
   EXPECT_EQ(result.formula.clauses[0],
             std::vector<Lit>{result.MapLit(P(1))});
-  CheckPreservesProjectedModels(input, {1}, {}, Fast());
+  CheckPreservesProjectedModels(input, {1}, {}, kFast);
 }
 
 TEST(SimplifyTest, ProvesUnsatOutright) {
   const CnfFormula input = MakeFormula(2, {{P(0)}, {N(0)}, {P(1)}});
-  const SimplifyResult result = sat::Simplify(input, {1}, {}, Fast());
+  const SimplifyResult result = sat::Simplify(input, {1}, {}, kFast);
   EXPECT_TRUE(result.proven_unsat);
   EXPECT_TRUE(result.formula.contains_empty_clause);
   EXPECT_TRUE(result.MapLit(P(1)).defined());
-  CheckPreservesProjectedModels(input, {1}, {}, Fast());
+  CheckPreservesProjectedModels(input, {1}, {}, kFast);
 }
 
 // --- Failed-literal probing ----------------------------------------------
@@ -260,13 +249,13 @@ TEST(SimplifyTest, FailedLiteralProbing) {
   // forced, which in turn forces the frozen x2 through (x0 | x2).
   const CnfFormula input =
       MakeFormula(3, {{N(0), P(1)}, {N(0), N(1)}, {P(0), P(2)}});
-  const SimplifyResult result = sat::Simplify(input, {2}, {}, Fast());
+  const SimplifyResult result = sat::Simplify(input, {2}, {}, kFast);
   EXPECT_GE(result.stats.failed_literals, 1u);
   ASSERT_TRUE(result.MapLit(P(2)).defined());
   ASSERT_EQ(result.formula.num_clauses(), 1u);
   EXPECT_EQ(result.formula.clauses[0],
             std::vector<Lit>{result.MapLit(P(2))});
-  CheckPreservesProjectedModels(input, {2}, {}, Fast());
+  CheckPreservesProjectedModels(input, {2}, {}, kFast);
 }
 
 // --- Equivalent-literal substitution -------------------------------------
@@ -276,13 +265,13 @@ TEST(SimplifyTest, BinaryImplicationEquivalence) {
   // occurrences rewritten onto x0.
   const CnfFormula input = MakeFormula(
       4, {{N(0), P(1)}, {P(0), N(1)}, {P(0), P(2)}, {P(1), P(3)}});
-  const SimplifyResult result = sat::Simplify(input, {2, 3}, {}, Fast());
+  const SimplifyResult result = sat::Simplify(input, {2, 3}, {}, kFast);
   EXPECT_GE(result.stats.equivalences, 1u);
   // Exactly one of x0/x1 survives; the frozen vars always do.
   EXPECT_NE(result.MapLit(P(0)).defined(), result.MapLit(P(1)).defined());
   EXPECT_TRUE(result.MapLit(P(2)).defined());
   EXPECT_TRUE(result.MapLit(P(3)).defined());
-  CheckPreservesProjectedModels(input, {2, 3}, {}, Fast());
+  CheckPreservesProjectedModels(input, {2, 3}, {}, kFast);
 }
 
 TEST(SimplifyTest, EquivalenceRepresentativePrefersFrozen) {
@@ -290,10 +279,10 @@ TEST(SimplifyTest, EquivalenceRepresentativePrefersFrozen) {
   // variable, and the non-frozen x0 is the one substituted away.
   const CnfFormula input =
       MakeFormula(3, {{N(0), P(1)}, {P(0), N(1)}, {P(0), P(2)}});
-  const SimplifyResult result = sat::Simplify(input, {1, 2}, {}, Fast());
+  const SimplifyResult result = sat::Simplify(input, {1, 2}, {}, kFast);
   EXPECT_TRUE(result.MapLit(P(1)).defined());
   EXPECT_FALSE(result.MapLit(P(0)).defined());
-  CheckPreservesProjectedModels(input, {1, 2}, {}, Fast());
+  CheckPreservesProjectedModels(input, {1, 2}, {}, kFast);
 }
 
 TEST(SimplifyTest, EquivalentFrozenVariablesBothSurvive) {
@@ -301,12 +290,12 @@ TEST(SimplifyTest, EquivalentFrozenVariablesBothSurvive) {
   // the output keeps both columns tied together by binaries.
   const CnfFormula input =
       MakeFormula(3, {{N(0), P(1)}, {P(0), N(1)}, {P(0), P(2)}});
-  const SimplifyResult result = sat::Simplify(input, {0, 1}, {}, Fast());
+  const SimplifyResult result = sat::Simplify(input, {0, 1}, {}, kFast);
   EXPECT_TRUE(result.MapLit(P(0)).defined());
   EXPECT_TRUE(result.MapLit(P(1)).defined());
   const auto projections = ProjectedSimplifiedModels(result, {0, 1});
   EXPECT_EQ(projections, ProjectedModels(input, {0, 1}));
-  CheckPreservesProjectedModels(input, {0, 1}, {}, Fast());
+  CheckPreservesProjectedModels(input, {0, 1}, {}, kFast);
 }
 
 // --- Subsumption and self-subsuming resolution ---------------------------
@@ -315,24 +304,24 @@ TEST(SimplifyTest, BackwardSubsumption) {
   // (x0 | x1) subsumes (x0 | x1 | x2).
   const CnfFormula input =
       MakeFormula(3, {{P(0), P(1)}, {P(0), P(1), P(2)}});
-  const SimplifyResult result = sat::Simplify(input, {0, 1, 2}, {}, Fast());
+  const SimplifyResult result = sat::Simplify(input, {0, 1, 2}, {}, kFast);
   EXPECT_GE(result.stats.clauses_subsumed, 1u);
   EXPECT_EQ(result.formula.num_clauses(), 1u);
-  CheckPreservesProjectedModels(input, {0, 1, 2}, {}, Fast());
+  CheckPreservesProjectedModels(input, {0, 1, 2}, {}, kFast);
 }
 
 TEST(SimplifyTest, SelfSubsumingResolutionStrengthens) {
   // (x0 | x1) self-subsumes (!x0 | x1 | x2) down to (x1 | x2).
   const CnfFormula input =
       MakeFormula(3, {{P(0), P(1)}, {N(0), P(1), P(2)}});
-  const SimplifyResult result = sat::Simplify(input, {0, 1, 2}, {}, Fast());
+  const SimplifyResult result = sat::Simplify(input, {0, 1, 2}, {}, kFast);
   EXPECT_GE(result.stats.clauses_strengthened, 1u);
   std::size_t total_literals = 0;
   for (const auto& clause : result.formula.clauses) {
     total_literals += clause.size();
   }
   EXPECT_LT(total_literals, input.num_literals());
-  CheckPreservesProjectedModels(input, {0, 1, 2}, {}, Fast());
+  CheckPreservesProjectedModels(input, {0, 1, 2}, {}, kFast);
 }
 
 // --- Bounded variable elimination ----------------------------------------
@@ -346,10 +335,10 @@ TEST(SimplifyTest, EliminatesAuxiliaryVariable) {
                                            {P(2), N(0), N(1)},
                                            {P(2), P(3)}});
   const SimplifyResult result =
-      sat::Simplify(input, {0, 1, 3}, {2}, Fast());
+      sat::Simplify(input, {0, 1, 3}, {2}, kFast);
   EXPECT_GE(result.stats.vars_eliminated, 1u);
   EXPECT_FALSE(result.MapLit(P(2)).defined());
-  CheckPreservesProjectedModels(input, {0, 1, 3}, {2}, Fast());
+  CheckPreservesProjectedModels(input, {0, 1, 3}, {2}, kFast);
 }
 
 TEST(SimplifyTest, EliminationRespectsEliminableSet) {
@@ -360,10 +349,10 @@ TEST(SimplifyTest, EliminationRespectsEliminableSet) {
                                            {N(2), P(1)},
                                            {P(2), N(0), N(1)},
                                            {P(2), P(3)}});
-  const SimplifyResult result = sat::Simplify(input, {0, 1, 3}, {}, Fast());
+  const SimplifyResult result = sat::Simplify(input, {0, 1, 3}, {}, kFast);
   EXPECT_EQ(result.stats.vars_eliminated, 0u);
   EXPECT_TRUE(result.MapLit(P(2)).defined());
-  CheckPreservesProjectedModels(input, {0, 1, 3}, {}, Fast());
+  CheckPreservesProjectedModels(input, {0, 1, 3}, {}, kFast);
 }
 
 // --- Reconstruction stack in isolation -----------------------------------
@@ -431,7 +420,7 @@ TEST(SimplifyPropertyTest, RandomFormulasPreserveProjectedModels) {
 
     SCOPED_TRACE("iteration " + std::to_string(iteration));
     CheckPreservesProjectedModels(input, frozen, eliminable,
-                                  iteration % 2 == 0 ? Fast() : Full());
+                                  iteration % 2 == 0 ? kFast : kFull);
   }
 }
 
@@ -632,6 +621,67 @@ TEST(SimplifyEquivalenceTest, Andersen) {
 
 TEST(SimplifyEquivalenceTest, Csda) {
   CheckScenarioEquivalence(sc::MakeCsda("httpd", 200, 20240611));
+}
+
+// --- Plans are a function of the model alone -----------------------------
+
+/// Compiles each sampled target's plan twice on an engine without a plan
+/// cache, so both are fresh builds, and requires clause-for-clause equal
+/// formulas. Every simplify phase stops on a step budget, never on the
+/// clock, so neither the formula nor the member order it induces may
+/// depend on how fast or loaded the host is.
+void CheckPlansAreReproducible(const sc::GeneratedScenario& scenario) {
+  for (const SimplifyMode mode : {kFast, kFull}) {
+    EngineOptions options;
+    options.plan_cache_capacity = 0;
+    options.plan_simplify = mode;
+    const Engine engine = scenario.MakeEngine(options);
+    const auto targets = engine.SampleAnswers(8);
+    ASSERT_FALSE(targets.empty());
+    for (const dl::FactId target : targets) {
+      const auto first = engine.Prepare(target);
+      const auto second = engine.Prepare(target);
+      ASSERT_TRUE(first.ok()) << first.status().message();
+      ASSERT_TRUE(second.ok()) << second.status().message();
+      ASSERT_NE(first.value().plan(), second.value().plan());
+      const CnfFormula& a = first.value().formula();
+      const CnfFormula& b = second.value().formula();
+      const std::string label = scenario.scenario_name + " " +
+                                engine.FactToText(target) + " mode " +
+                                std::to_string(static_cast<int>(mode));
+      EXPECT_EQ(a.num_vars, b.num_vars) << label;
+      EXPECT_TRUE(a.clauses == b.clauses) << label;
+      EXPECT_TRUE(a.polarity_hints == b.polarity_hints) << label;
+      EXPECT_TRUE(a.activity_hints == b.activity_hints) << label;
+    }
+    EXPECT_EQ(engine.plan_cache_stats().hits, 0u);
+  }
+}
+
+TEST(SimplifyDeterminismTest, TransClosureSparse) {
+  CheckPlansAreReproducible(
+      sc::MakeTransClosure(sc::GraphKind::kSparse, 40, 60, 20240611));
+}
+
+TEST(SimplifyDeterminismTest, TransClosureSocial) {
+  CheckPlansAreReproducible(
+      sc::MakeTransClosure(sc::GraphKind::kSocial, 16, 24, 20240611));
+}
+
+TEST(SimplifyDeterminismTest, Doctors) {
+  CheckPlansAreReproducible(sc::MakeDoctors(1, 100, 20240611));
+}
+
+TEST(SimplifyDeterminismTest, Galen) {
+  CheckPlansAreReproducible(sc::MakeGalen(20, 20240611));
+}
+
+TEST(SimplifyDeterminismTest, Andersen) {
+  CheckPlansAreReproducible(sc::MakeAndersen(100, 20240611));
+}
+
+TEST(SimplifyDeterminismTest, Csda) {
+  CheckPlansAreReproducible(sc::MakeCsda("httpd", 200, 20240611));
 }
 
 }  // namespace

@@ -17,13 +17,13 @@ CnfFormula RandomThreeCnf(util::Rng& rng, int num_vars, int num_clauses) {
   CnfFormula formula;
   formula.num_vars = num_vars;
   for (int i = 0; i < num_clauses; ++i) {
-    std::vector<int> clause;
+    std::vector<Lit> clause;
     while (clause.size() < 3) {
-      const int v = static_cast<int>(rng.UniformInt(num_vars)) + 1;
-      const int lit = rng.Bernoulli(0.5) ? v : -v;
+      const auto v = static_cast<Var>(rng.UniformInt(num_vars));
+      const Lit lit = Lit::Make(v, !rng.Bernoulli(0.5));
       bool dup = false;
-      for (int l : clause) {
-        if (std::abs(l) == v) dup = true;
+      for (Lit l : clause) {
+        if (l.var() == v) dup = true;
       }
       if (!dup) clause.push_back(lit);
     }
@@ -51,8 +51,8 @@ TEST_P(SolverOptionsTest, CorrectUnderAllConfigurations) {
     const CnfFormula formula = RandomThreeCnf(rng, 10, 43);  // near threshold
     const bool expected = BruteForceSat(formula);
     Solver solver(options);
-    const bool loaded = LoadIntoSolver(formula, solver);
-    if (!loaded) {
+    formula.LoadInto(solver);
+    if (!solver.ok()) {
       EXPECT_FALSE(expected);
       continue;
     }

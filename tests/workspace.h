@@ -1,7 +1,8 @@
 #ifndef WHYPROV_TESTS_WORKSPACE_H_
 #define WHYPROV_TESTS_WORKSPACE_H_
 
-// Shared test helper: parse a program and a database into one workspace.
+// Shared test helpers: parse a program and a database into one workspace,
+// and compile a query plan the way the engine does.
 
 #include <memory>
 #include <set>
@@ -15,6 +16,9 @@
 #include "datalog/evaluator.h"
 #include "datalog/parser.h"
 #include "datalog/program.h"
+#include "provenance/cnf_encoder.h"
+#include "provenance/query_plan.h"
+#include "sat/simplify.h"
 
 namespace whyprov::testing {
 
@@ -39,6 +43,19 @@ inline Workspace MakeWorkspace(const char* program_text,
   EXPECT_TRUE(database.ok()) << database.status().message();
   return Workspace{symbols, std::move(program).value(),
                    std::move(database).value()};
+}
+
+/// Compiles the unsimplified plan of `target` (a fact id of `model`, the
+/// least model of `program`'s database): what the engine serves with
+/// EngineOptions::plan_simplify = kOff. For tests that drive the
+/// provenance layer (WhyProvenanceEnumerator, IsWhyUnMemberPrepared)
+/// without an engine.
+inline std::shared_ptr<const provenance::QueryPlan> BuildPlan(
+    const datalog::Program& program, const datalog::Model& model,
+    datalog::FactId target,
+    const provenance::CnfEncoder::Options& options = {}) {
+  return provenance::QueryPlan::Build(program, model, target, options,
+                                      sat::SimplifyMode::kOff);
 }
 
 /// Renders a provenance member (set of facts) as a canonical string like
