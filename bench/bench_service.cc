@@ -248,7 +248,7 @@ std::vector<Run> RunFloodConfiguration(const SuiteEntry& entry, bool fair,
   // one submitter fills it and both schedulers look alike).
   service_options.num_threads = 2;
   service_options.queue_capacity = 64;
-  service_options.qos.fair_queueing = fair;
+  service_options.fair_queueing = fair;
   whyprov::Service service(scenario.MakeEngine(whyprov::EngineOptions()),
                            service_options);
 

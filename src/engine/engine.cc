@@ -119,7 +119,6 @@ EngineState::EngineState(dl::Program program_in, dl::Database database_in,
     : program(std::move(program_in)),
       answer_predicate(answer_predicate_in),
       options(std::move(options_in)),
-      database_size(database_in.facts().size()),
       model(EvaluateTimed(program, database_in, &eval_seconds)),
       parse_mutex(std::make_shared<util::Mutex>()),
       plan_cache(options.plan_cache_capacity),
@@ -131,14 +130,12 @@ EngineState::EngineState(dl::Program program_in, dl::Database database_in,
 }
 
 EngineState::EngineState(const EngineState& predecessor, dl::Model model_in,
-                         std::uint64_t model_version_in,
-                         double eval_seconds_in, std::size_t database_size_in)
+                         std::uint64_t model_version_in, double eval_seconds_in)
     : program(predecessor.program),
       answer_predicate(predecessor.answer_predicate),
       options(predecessor.options),
       model_version(model_version_in),
       eval_seconds(eval_seconds_in),
-      database_size(database_size_in),
       model(std::move(model_in)),
       parse_mutex(predecessor.parse_mutex),
       plan_cache(options.plan_cache_capacity,
@@ -191,12 +188,11 @@ std::shared_ptr<const pv::QueryPlan> EngineState::PlanFor(
   // Single-flight: concurrent misses on one target (the post-delta
   // stampede, when every hot plan was just invalidated) compile the plan
   // once and share it instead of each paying the closure+encode cost.
-  return plan_cache.GetOrBuild(target, model_version, [&] {
+  return plan_cache.GetOrBuild(target, [&] {
     pv::CnfEncoder::Options encoder_options;
     encoder_options.acyclicity = options.acyclicity;
     auto plan = pv::QueryPlan::Build(program, model, target, encoder_options,
                                      options.plan_simplify);
-    plan->set_model_version(model_version);
     if (plan->simplified()) plan_cache.RecordSimplify(plan->simplify_stats());
     return plan;
   });
@@ -407,25 +403,6 @@ util::Result<dl::FactId> Engine::FactIdOf(std::string_view fact_text) const {
   return FactIdOn(*snapshot(), fact_text);
 }
 
-PlanCostPeek Engine::PeekPlanCost(dl::FactId target,
-                                  const std::string& target_text) const {
-  PlanCostPeek peek;
-  const auto state = snapshot();
-  peek.database_facts = state->database_size;
-  util::Result<dl::FactId> resolved =
-      ResolveTarget(*state, target, target_text);
-  if (!resolved.ok()) return peek;  // unknown target: fallback pricing
-  const std::shared_ptr<const pv::QueryPlan> plan =
-      state->plan_cache.Peek(resolved.value(), state->model_version);
-  if (plan == nullptr) return peek;
-  peek.plan_cached = true;
-  peek.closure_facts = plan->closure().nodes().size();
-  peek.cnf_clauses = plan->formula().num_clauses();
-  peek.cnf_variables = static_cast<std::size_t>(
-      plan->formula().num_vars > 0 ? plan->formula().num_vars : 0);
-  return peek;
-}
-
 std::string Engine::FactToText(dl::FactId id) const {
   const auto state = snapshot();
   // Rendering reads the symbol table FactIdOf may be interning into from
@@ -564,27 +541,16 @@ bool PlanTouchedBy(const pv::QueryPlan& plan,
   return false;
 }
 
-/// Counts the live rank-0 facts of `model`: its database.
-std::size_t CountDatabaseFacts(const dl::Model& model) {
-  std::size_t count = 0;
-  for (dl::FactId id = 0; id < model.size(); ++id) {
-    if (model.alive(id) && model.rank(id) == 0) ++count;
-  }
-  return count;
-}
-
 }  // namespace
 
 void Engine::AdoptRecovered(dl::Model model, std::uint64_t version) {
   const util::MutexLock update_lock(*update_mutex_);
   const auto old_state = snapshot();
-  const std::size_t database_size = CountDatabaseFacts(model);
   // The successor constructor inherits program/options/parse_mutex and
   // starts the plan cache from the predecessor's counters without its
   // entries — exactly right here, where every old plan is invalid.
   auto next = std::make_shared<EngineState>(*old_state, std::move(model),
-                                            version, /*eval_seconds_in=*/0,
-                                            database_size);
+                                            version, /*eval_seconds_in=*/0);
   const util::MutexLock lock(*state_mutex_);
   state_ = std::move(next);
 }
@@ -660,22 +626,21 @@ util::Result<DeltaStats> Engine::ApplyDelta(const DeltaRequest& request) {
   stats.facts_touched = delta.touched.size();
 
   const std::uint64_t version = old_state->model_version + 1;
-  auto next = std::make_shared<EngineState>(
-      *old_state, std::move(model), version, stats.eval_seconds,
-      old_state->database_size + delta.base_added - delta.base_removed);
+  auto next = std::make_shared<EngineState>(*old_state, std::move(model),
+                                            version, stats.eval_seconds);
 
   // Selective plan carry-over: a plan survives iff the delta touched
   // nothing in its downward closure — then its closure sub-hypergraph,
-  // CNF encoding, and rank-greedy hints are all still exact, so it is
-  // re-stamped for the new version and stays hot. The rest are dropped
-  // and rebuilt lazily on their next use.
+  // CNF encoding, and rank-greedy hints are all still exact, so the
+  // successor cache shares it and it stays hot (the old version's cache
+  // keeps it too: it is valid for both). The rest are dropped and
+  // rebuilt lazily on their next use.
   for (const PlanCache::Entry& entry : old_state->plan_cache.Entries()) {
     if (!next->model.alive(entry.plan->target()) ||
         PlanTouchedBy(*entry.plan, delta.touched)) {
       ++stats.plans_invalidated;
       continue;
     }
-    entry.plan->set_model_version(version);
     next->plan_cache.Put(entry.target, entry.plan);
     ++stats.plans_retained;
   }

@@ -189,20 +189,6 @@ struct Explanation {
   provenance::ProofTree tree;
 };
 
-/// Side-effect-free cost signals for one query target, read by
-/// Engine::PeekPlanCost for the QoS admission layer (qos/cost.h prices
-/// them). `plan_cached` means a plan for the target is cached at the
-/// *current* model version, in which case the closure/CNF sizes are the
-/// cached plan's; otherwise they are 0 and `database_facts` is the
-/// fallback size proxy.
-struct PlanCostPeek {
-  bool plan_cached = false;
-  std::size_t closure_facts = 0;
-  std::size_t cnf_clauses = 0;
-  std::size_t cnf_variables = 0;
-  std::size_t database_facts = 0;
-};
-
 /// Snapshot-retention accounting of one engine (see Engine::snapshot_
 /// stats): how many model-state snapshots are currently alive — the
 /// published one plus every older version pinned by in-flight
@@ -238,21 +224,19 @@ struct EngineState {
               EngineOptions options_in);
 
   /// The successor state ApplyDelta builds: the delta-updated model, the
-  /// bumped version, its exact database size, and a plan cache that
-  /// starts from the predecessor's counters (retained plans are
+  /// bumped version, and a plan cache that starts from the predecessor's
+  /// counters (retained plans are
   /// re-inserted by the caller). The parse mutex is inherited: all
   /// versions share one symbol table, so they must share the lock that
   /// guards it. The database view is NOT copied: it materialises lazily
   /// from the model on first access.
   EngineState(const EngineState& predecessor, datalog::Model model_in,
-              std::uint64_t model_version_in, double eval_seconds_in,
-              std::size_t database_size_in);
+              std::uint64_t model_version_in, double eval_seconds_in);
 
   ~EngineState();
 
-  /// Cache-through plan lookup: returns the cached plan for `target` —
-  /// provided it is stamped with this state's model version — or builds
-  /// one under `options`, stamps, and caches it.
+  /// Cache-through plan lookup: returns this version's cached plan for
+  /// `target`, or builds one under `options` and caches it.
   std::shared_ptr<const provenance::QueryPlan> PlanFor(
       datalog::FactId target) const;
 
@@ -270,15 +254,11 @@ struct EngineState {
   datalog::PredicateId answer_predicate;
   EngineOptions options;
   /// Monotonic database/model version: 0 at construction, +1 per applied
-  /// delta. Plans are stamped with the version they are valid for.
+  /// delta.
   std::uint64_t model_version = 0;
   // eval_seconds is written while model is initialised, so it must be
   // declared (and thus initialised) before model.
   double eval_seconds = 0;
-  /// Exact number of database facts of this version (always equal to
-  /// database().facts().size()), kept so admission pricing never
-  /// materialises the lazy database view.
-  std::size_t database_size = 0;
   datalog::Model model;
   /// Serialises every engine-surface touch of the shared symbol table:
   /// fact-text parsing (ParseFact interns constants, mutating the table)
@@ -644,14 +624,6 @@ class Engine {
   /// Parses a fact like "path(a, b)" and returns its model id.
   /// Thread-safe (parsing is serialised internally).
   util::Result<datalog::FactId> FactIdOf(std::string_view fact_text) const;
-
-  /// Cost signals for pricing a request *before* admitting it: resolves
-  /// the target against the current snapshot and peeks the plan cache —
-  /// never compiles a plan or touches the cache's counters/LRU order.
-  /// An unresolvable target returns the fallback signals (database size
-  /// only); pricing must stay cheap even for garbage input.
-  PlanCostPeek PeekPlanCost(datalog::FactId target,
-                            const std::string& target_text) const;
 
   /// Renders a fact id / fact for display.
   std::string FactToText(datalog::FactId id) const;

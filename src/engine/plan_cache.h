@@ -20,11 +20,10 @@ namespace whyprov {
 /// Point-in-time snapshot of plan-cache effectiveness.
 struct PlanCacheStats {
   std::size_t hits = 0;       ///< lookups answered from the cache
-  std::size_t misses = 0;     ///< lookups that found nothing (or stale)
+  std::size_t misses = 0;     ///< lookups that found nothing
   std::size_t evictions = 0;  ///< plans dropped to respect the capacity
-  std::size_t invalidated = 0;  ///< plans dropped because a delta touched
-                                ///< their closure (or their stamp trailed
-                                ///< the engine's model version)
+  std::size_t invalidated = 0;  ///< plans a delta dropped because it
+                                ///< touched their closure
   std::size_t coalesced = 0;  ///< GetOrBuild calls that waited on another
                               ///< thread's in-flight build instead of
                               ///< compiling the plan themselves
@@ -46,15 +45,14 @@ struct PlanCacheStats {
 /// Capacity 0 disables caching (every lookup misses, Put is a no-op)
 /// while still counting misses.
 ///
-/// Plans are version-stamped against the engine's monotonic model
-/// version. A lookup treats a plan whose stamp trails the expected
-/// version as missing (dropping it and counting an invalidation), so
-/// stale plans are rebuilt lazily on their next hit; `Entries`/`Put`/
-/// `CountInvalidated` support the delta path's selective carry-over into
-/// a successor cache.
+/// Each engine version owns one cache, and a cache only ever holds plans
+/// valid for its own version: `Entries`/`Put`/`CountInvalidated` support
+/// the delta path's selective carry-over of still-valid plans into the
+/// successor version's cache, and the predecessor's cache keeps serving
+/// the requests pinned to it.
 ///
-/// `GetOrBuild` is the lookup: concurrent misses on one (target, version)
-/// compile the plan once — the first thread builds while the rest wait
+/// `GetOrBuild` is the lookup: concurrent misses on one target compile
+/// the plan once — the first thread builds while the rest wait
 /// on a build latch and share the result (counted under `coalesced`), so
 /// a post-delta stampede on a hot target costs one compilation instead of
 /// one per requester.
@@ -84,80 +82,50 @@ class PlanCache {
     PutLocked(target, std::move(plan));
   }
 
-  /// Single-flight cache-through lookup: the cached plan for `target` at
-  /// `expected_version`, or the result of running `build` — exactly once
-  /// across every thread concurrently missing on this target. The winner
-  /// compiles (outside the cache lock: builds are the expensive part) and
-  /// Puts; the others block on the build latch and share the winner's
-  /// plan. `build` must return a plan already stamped with
-  /// `expected_version`; a waiter handed a plan stamped otherwise (a
-  /// delta landed mid-build) retries the whole lookup, becoming the
-  /// builder for its own version if need be. Works with capacity 0 too:
-  /// the latch map is independent of the LRU, so concurrent misses still
-  /// coalesce even when nothing is retained afterwards.
+  /// Single-flight cache-through lookup: the cached plan for `target`,
+  /// or the result of running `build` — exactly once across every thread
+  /// concurrently missing on this target. The winner compiles (outside
+  /// the cache lock: builds are the expensive part) and Puts; the others
+  /// block on the build latch and share the winner's plan. Works with
+  /// capacity 0 too: the latch map is independent of the LRU, so
+  /// concurrent misses still coalesce even when nothing is retained
+  /// afterwards.
   template <typename BuildFn>
   std::shared_ptr<const provenance::QueryPlan> GetOrBuild(
-      datalog::FactId target, std::uint64_t expected_version,
-      const BuildFn& build) EXCLUDES(mutex_) {
-    while (true) {
-      std::shared_ptr<Flight> flight;
-      bool builder = false;
+      datalog::FactId target, const BuildFn& build) EXCLUDES(mutex_) {
+    std::shared_ptr<Flight> flight;
+    bool builder = false;
+    {
+      const util::MutexLock lock(mutex_);
+      if (auto plan = GetLocked(target)) return plan;
+      auto it = flights_.find(target);
+      if (it == flights_.end()) {
+        flight = std::make_shared<Flight>();
+        flights_.emplace(target, flight);
+        builder = true;
+      } else {
+        flight = it->second;
+        ++coalesced_;
+      }
+    }
+    if (builder) {
+      std::shared_ptr<const provenance::QueryPlan> plan = build();
       {
         const util::MutexLock lock(mutex_);
-        if (auto plan = GetLocked(target, expected_version)) return plan;
-        auto it = flights_.find(target);
-        if (it == flights_.end()) {
-          flight = std::make_shared<Flight>();
-          flights_.emplace(target, flight);
-          builder = true;
-        } else {
-          flight = it->second;
-          ++coalesced_;
-        }
+        PutLocked(target, plan);
+        flights_.erase(target);
       }
-      if (builder) {
-        std::shared_ptr<const provenance::QueryPlan> plan = build();
-        {
-          const util::MutexLock lock(mutex_);
-          PutLocked(target, plan);
-          flights_.erase(target);
-        }
-        {
-          const util::MutexLock lock(flight->mutex);
-          flight->plan = plan;
-          flight->done = true;
-        }
-        flight->cv.NotifyAll();
-        return plan;
-      }
-      std::shared_ptr<const provenance::QueryPlan> plan;
       {
         const util::MutexLock lock(flight->mutex);
-        while (!flight->done) flight->cv.Wait(flight->mutex);
-        plan = flight->plan;
+        flight->plan = plan;
+        flight->done = true;
       }
-      if (plan != nullptr && plan->model_version() == expected_version) {
-        return plan;
-      }
-      // The build this thread latched onto was for another model version;
-      // loop and build (or find) one for the expected version.
+      flight->cv.NotifyAll();
+      return plan;
     }
-  }
-
-  /// Side-effect-free lookup for cost estimation (the QoS admission
-  /// path): the cached plan for `target` at `expected_version`, or null.
-  /// Touches no counters, drops no stale entry, and does not bump the
-  /// LRU order — a peek is not a use.
-  std::shared_ptr<const provenance::QueryPlan> Peek(
-      datalog::FactId target, std::uint64_t expected_version) const
-      EXCLUDES(mutex_) {
-    const util::MutexLock lock(mutex_);
-    const auto it = index_.find(target);
-    if (it == index_.end()) return nullptr;
-    if (it->second->second->model_version() != expected_version) {
-      return nullptr;
-    }
-    return it->second->second;
+    const util::MutexLock lock(flight->mutex);
+    while (!flight->done) flight->cv.Wait(flight->mutex);
+    return flight->plan;
   }
 
   /// One cached plan together with its target, for delta carry-over.
@@ -226,16 +194,9 @@ class PlanCache {
 
   /// The counted, LRU-bumping lookup behind GetOrBuild (mutex_ held).
   std::shared_ptr<const provenance::QueryPlan> GetLocked(
-      datalog::FactId target, std::uint64_t expected_version) REQUIRES(mutex_) {
+      datalog::FactId target) REQUIRES(mutex_) {
     auto it = index_.find(target);
     if (it == index_.end()) {
-      ++misses_;
-      return nullptr;
-    }
-    if (it->second->second->model_version() != expected_version) {
-      lru_.erase(it->second);
-      index_.erase(it);
-      ++invalidated_;
       ++misses_;
       return nullptr;
     }

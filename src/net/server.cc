@@ -32,10 +32,6 @@ struct ServerSession {
   };
 
   util::Socket socket;
-  /// The connection's identity in the server's per-connection rate
-  /// limiter ("conn-<n>"); set by the accept loop before the threads
-  /// start, immutable afterwards.
-  std::string rate_identity;
   std::thread reader;
   std::thread responder;
 
@@ -57,16 +53,6 @@ struct ServerSession {
 namespace {
 
 using internal::ServerSession;
-
-/// Maps the server's rate-limit knobs onto a QoS admission
-/// configuration: a pure token bucket (no outstanding-cost budget),
-/// one bucket per connection identity.
-qos::QosOptions RateLimitOptions(const ServerOptions& options) {
-  qos::QosOptions qos;
-  qos.refill_per_second = options.max_requests_per_second;
-  qos.burst = options.rate_limit_burst;
-  return qos;
-}
 
 /// Cancels every ticket the session still holds (queued + active).
 void CancelSession(ServerSession& session) {
@@ -209,9 +195,7 @@ void ServeTicket(ServerSession& session, ServerSession::Pending& pending) {
 }  // namespace
 
 Server::Server(whyprov_service* service, ServerOptions options)
-    : service_(service),
-      options_(options),
-      rate_limiter_(RateLimitOptions(options_)) {}
+    : service_(service), options_(options) {}
 
 Server::~Server() { Stop(); }
 
@@ -270,7 +254,6 @@ void Server::AcceptLoop() {
       const util::MutexLock lock(mutex_);
       if (stopped_) return;  // raced with Stop; drop the connection
       ++connections_accepted_;
-      raw->rate_identity = "conn-" + std::to_string(connections_accepted_);
       sessions_.push_back(std::move(session));
     }
     raw->reader = std::thread([this, raw] { RunReader(*raw); });
@@ -300,16 +283,6 @@ void Server::RunReader(ServerSession& session) {
       break;
     }
 
-    // Per-connection rate limiting: work frames charge one unit from
-    // the connection's token bucket; an empty bucket answers the
-    // request with a RESOURCE_EXHAUSTED final frame (the client can
-    // back off and retry) instead of submitting it. Stats polls stay
-    // free so a throttled client can still observe the service.
-    const bool rate_limited =
-        type >= kFrameEnumerate && type <= kFrameDelta &&
-        !rate_limiter_.unlimited() &&
-        !rate_limiter_.Admit(session.rate_identity, 1.0).ok();
-
     ServerSession::Pending pending;
     pending.kind = type;
     bool malformed = false;
@@ -327,7 +300,17 @@ void Server::RunReader(ServerSession& session) {
         pending.batch_size = frame.value().batch_size > 0
                                  ? frame.value().batch_size
                                  : options_.default_batch_size;
-        if (rate_limited) break;
+        if (pending.stream && pending.batch_size > kMaxBatchSize) {
+          // The responder buffers a whole batch before writing it, so an
+          // uncapped size would hold the family in memory however slowly
+          // the client reads. Refused like any bad argument; the
+          // connection stays usable.
+          pending.submit_status = WHYPROV_INVALID_ARGUMENT;
+          pending.error_message =
+              "batch_size " + std::to_string(pending.batch_size) +
+              " exceeds the maximum of " + std::to_string(kMaxBatchSize);
+          break;
+        }
         whyprov_ticket* ticket = nullptr;
         pending.submit_status = whyprov_submit_enumerate_qos(
             service_, frame.value().target.c_str(),
@@ -346,7 +329,6 @@ void Server::RunReader(ServerSession& session) {
           break;
         }
         pending.request_id = frame.value().request_id;
-        if (rate_limited) break;
         std::vector<const char*> candidates;
         candidates.reserve(frame.value().candidate_facts.size());
         for (const auto& fact : frame.value().candidate_facts) {
@@ -371,7 +353,6 @@ void Server::RunReader(ServerSession& session) {
           break;
         }
         pending.request_id = frame.value().request_id;
-        if (rate_limited) break;
         whyprov_ticket* ticket = nullptr;
         pending.submit_status = whyprov_submit_explain_qos(
             service_, frame.value().target.c_str(),
@@ -389,7 +370,6 @@ void Server::RunReader(ServerSession& session) {
           break;
         }
         pending.request_id = frame.value().request_id;
-        if (rate_limited) break;
         std::vector<const char*> added;
         std::vector<const char*> removed;
         added.reserve(frame.value().added_facts.size());
@@ -432,10 +412,6 @@ void Server::RunReader(ServerSession& session) {
       error.error_message = std::move(malformed_message);
       Push(session, std::move(error), options_.max_session_tickets);
       break;
-    }
-    if (rate_limited) {
-      pending.submit_status = WHYPROV_RESOURCE_EXHAUSTED;
-      pending.error_message = "per-connection rate limit exceeded";
     }
     Push(session, std::move(pending), options_.max_session_tickets);
   }
@@ -504,7 +480,7 @@ void Server::RunResponder(ServerSession& session) {
       WriteOrFail(session, kFrameStatsReply, Encode(reply));
     } else if (pending.ticket == nullptr) {
       // Admission (or argument) failure: the submit itself refused, or
-      // the connection's rate limiter refused before it.
+      // the reader refused the frame's arguments before submitting.
       FinalFrame final;
       final.request_id = pending.request_id;
       final.kind = pending.kind;

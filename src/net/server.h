@@ -48,7 +48,6 @@
 
 #include "net/whyprov_c.h"
 #include "net/wire.h"
-#include "qos/cost.h"
 #include "util/mutex.h"
 #include "util/socket.h"
 #include "util/status.h"
@@ -68,15 +67,6 @@ struct ServerOptions {
   std::uint32_t default_batch_size = 8;
   /// Per-frame byte cap enforced on reads (writes use kMaxFrameBytes).
   std::uint32_t max_frame_bytes = kMaxFrameBytes;
-  /// Per-connection request-rate limit, a thin reuse of the QoS
-  /// admission controller: every connection gets its own token bucket
-  /// (identity "conn-<n>") charging one unit per work frame (stats
-  /// polls are exempt). An empty bucket answers the request with
-  /// RESOURCE_EXHAUSTED instead of submitting — the client sees a
-  /// normal final frame and may back off and retry. 0 = unlimited.
-  double max_requests_per_second = 0;
-  /// Token-bucket depth of the rate limit; 0 = one second of refill.
-  double rate_limit_burst = 0;
 };
 
 /// The wire-protocol server. Does not own the service handle: the
@@ -113,9 +103,6 @@ class Server {
 
   whyprov_service* const service_;
   const ServerOptions options_;
-  /// The per-connection rate limiter (see ServerOptions); unlimited when
-  /// max_requests_per_second is 0.
-  qos::AdmissionController rate_limiter_;
   util::ListenSocket listener_;
   std::thread accept_thread_;
 

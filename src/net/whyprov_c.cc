@@ -168,6 +168,25 @@ whyprov_status whyprov_service_create(const char* program_text,
     CopyError(status, error_message, error_message_size);
     return ToC(status);
   }
+  // The QoS tuning fields are kept for layout compatibility only: the
+  // scheduler has no quantum, budget or rate limit, and its batch escape
+  // is a constant. A caller setting one would silently get a different
+  // policy than it asked for, so a nonzero value fails instead.
+  const std::pair<const char*, bool> inert_fields[] = {
+      {"qos_quantum", options->qos_quantum != 0},
+      {"qos_batch_escape", options->qos_batch_escape != 0},
+      {"qos_tenant_cost_budget", options->qos_tenant_cost_budget != 0},
+      {"qos_refill_per_second", options->qos_refill_per_second != 0},
+      {"qos_burst", options->qos_burst != 0},
+  };
+  for (const auto& [field, set] : inert_fields) {
+    if (!set) continue;
+    const auto status = wp::util::Status::InvalidArgument(
+        std::string(field) +
+        " is not supported: the QoS scheduler has no tuning (leave it 0)");
+    CopyError(status, error_message, error_message_size);
+    return ToC(status);
+  }
   if (options->plan_simplify < WHYPROV_SIMPLIFY_DEFAULT ||
       options->plan_simplify > WHYPROV_SIMPLIFY_FULL) {
     const auto status = wp::util::Status::InvalidArgument(
@@ -214,18 +233,9 @@ whyprov_status whyprov_service_create(const char* program_text,
   }
   service_options.default_deadline_seconds =
       options->default_deadline_seconds;
-  // Zero-initialised options mean "QoS on with defaults" (invariant:
+  // Zero-initialised options mean "fair queueing on" (invariant:
   // default-class traffic then behaves exactly like the pre-QoS FIFO).
-  service_options.qos.fair_queueing = options->qos_disable == 0;
-  if (options->qos_quantum > 0) {
-    service_options.qos.quantum = options->qos_quantum;
-  }
-  if (options->qos_batch_escape > 0) {
-    service_options.qos.batch_escape = options->qos_batch_escape;
-  }
-  service_options.qos.tenant_cost_budget = options->qos_tenant_cost_budget;
-  service_options.qos.refill_per_second = options->qos_refill_per_second;
-  service_options.qos.burst = options->qos_burst;
+  service_options.fair_queueing = options->qos_disable == 0;
 
   auto engine = wp::Engine::FromText(program_text, database_text,
                                      answer_predicate, engine_options);
@@ -306,7 +316,6 @@ size_t whyprov_service_tenant_stats(const whyprov_service* service,
     out.served = row.served;
     out.rejected = row.rejected;
     out.cancelled = row.cancelled;
-    out.cost_served = row.cost_served;
     out.queue_p50_seconds = row.queue_p50_seconds;
     out.queue_p99_seconds = row.queue_p99_seconds;
   }

@@ -95,18 +95,18 @@ typedef struct whyprov_options {
   const char* data_dir;
   int wal_fsync;             /* 1 = fsync the WAL on every append */
   size_t checkpoint_interval; /* deltas between checkpoints; 0 = default (32) */
-  /* Multi-tenant QoS (appended fields — zero-initialised means "QoS on
-   * with defaults", which behaves exactly like the pre-QoS FIFO for
-   * default-class requests). */
+  /* Multi-tenant QoS (appended fields — zero-initialised means "fair
+   * queueing on", which behaves exactly like the pre-QoS FIFO for
+   * default-class requests). Fair queueing is two lanes plus per-tenant
+   * round robin, with nothing to tune: the five fields after qos_disable
+   * are kept for layout compatibility and must be 0 — any nonzero value
+   * fails create with WHYPROV_INVALID_ARGUMENT naming the field. */
   int qos_disable;           /* 1 = plain FIFO scheduling, no fair queueing */
-  double qos_quantum;        /* deficit round-robin quantum; 0 = default (16) */
-  size_t qos_batch_escape;   /* consecutive interactive pops before one
-                              * queued batch task is served; 0 = default (8) */
-  double qos_tenant_cost_budget; /* outstanding-cost cap per tenant;
-                                  * 0 = unlimited */
-  double qos_refill_per_second;  /* admission token-bucket refill rate in
-                                  * cost units/s per tenant; 0 = unlimited */
-  double qos_burst;          /* token-bucket depth; 0 = one second of refill */
+  double qos_quantum;        /* must be 0 */
+  size_t qos_batch_escape;   /* must be 0 (the escape is a constant 8) */
+  double qos_tenant_cost_budget; /* must be 0 */
+  double qos_refill_per_second;  /* must be 0 */
+  double qos_burst;          /* must be 0 */
   int wal_group_commit;      /* 1 = coalesce WAL fsyncs across queued deltas */
   /* Plan-time CNF inprocessing (EngineOptions::plan_simplify): one of
    * the WHYPROV_SIMPLIFY_* values. 0 keeps the engine default (fast);
@@ -142,7 +142,7 @@ void whyprov_service_destroy(whyprov_service* service);
 /* Point-in-time serving counters (see whyprov::ServiceStats). */
 typedef struct whyprov_stats {
   uint64_t submitted;
-  uint64_t rejected;
+  uint64_t rejected;           /* submits refused: the queue was full */
   uint64_t completed;
   uint64_t succeeded;
   uint64_t cancelled;
@@ -183,9 +183,9 @@ typedef struct whyprov_tenant_stats {
   int qos_class;             /* whyprov_qos_class of this row */
   uint64_t queued;           /* admitted, not yet completed */
   uint64_t served;           /* completed without cancellation */
-  uint64_t rejected;         /* refused by admission (queue or budget) */
+  uint64_t rejected;         /* refused because the queue was full */
   uint64_t cancelled;        /* completed cancelled / past deadline */
-  double cost_served;        /* summed estimated cost of served requests */
+  double cost_served;        /* always 0; kept for layout compatibility */
   double queue_p50_seconds;  /* median queue wait (recent window) */
   double queue_p99_seconds;  /* tail queue wait (recent window) */
 } whyprov_tenant_stats;

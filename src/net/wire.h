@@ -60,6 +60,12 @@ enum FrameType : std::uint8_t {
 /// modest; anything beyond this is a protocol violation, not data.
 inline constexpr std::uint32_t kMaxFrameBytes = 16u * 1024 * 1024;
 
+/// Largest `batch_size` a streaming enumeration (stream = 1) may ask
+/// for. The server buffers up to one batch of members per request before
+/// writing it, so an uncapped size would let a client turn backpressure
+/// off; a larger value is answered with an INVALID_ARGUMENT final frame.
+inline constexpr std::uint32_t kMaxBatchSize = 1024;
+
 // --- low-level primitives --------------------------------------------------
 
 // The little-endian encode/decode primitives live in

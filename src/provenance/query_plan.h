@@ -1,8 +1,6 @@
 #ifndef WHYPROV_PROVENANCE_QUERY_PLAN_H_
 #define WHYPROV_PROVENANCE_QUERY_PLAN_H_
 
-#include <atomic>
-#include <cstdint>
 #include <memory>
 #include <unordered_set>
 #include <vector>
@@ -98,18 +96,6 @@ class QueryPlan {
     return closure_facts_;
   }
 
-  /// The engine-state model version this plan was compiled against (or
-  /// re-validated for). Monotonic per engine; plans whose stamp trails the
-  /// current state are stale and get rebuilt lazily on their next cache
-  /// hit. The stamp is the one mutable field of a plan (atomic, so
-  /// carry-over re-stamping never races concurrent executions).
-  std::uint64_t model_version() const {
-    return model_version_.load(std::memory_order_acquire);
-  }
-  void set_model_version(std::uint64_t version) const {
-    model_version_.store(version, std::memory_order_release);
-  }
-
   /// Replays the formula and search hints into a fresh backend.
   void LoadInto(sat::SolverInterface& solver) const {
     formula_.LoadInto(solver);
@@ -123,7 +109,6 @@ class QueryPlan {
   Encoding encoding_;
   sat::CnfFormula formula_;
   PlanTimings timings_;
-  mutable std::atomic<std::uint64_t> model_version_{0};
 
   bool simplified_ = false;
   sat::ReconstructionStack stack_;

@@ -1,19 +1,14 @@
 #ifndef WHYPROV_QOS_QOS_H_
 #define WHYPROV_QOS_QOS_H_
 
-// Multi-tenant quality-of-service primitives shared by the serving
-// stack. This library deliberately links against whyprov_util ONLY:
-// the scheduler plugs into util::Executor's TaskQueue interface, the
-// cost estimator prices a plain signals struct that the service layer
-// fills from the engine, and the admission controller speaks
-// util::Status — so both `Service` (above the engine) and
-// `net::Server` (which otherwise sees the stack through the C ABI
-// alone) can use it without new cross-layer dependencies.
+// Multi-tenant quality-of-service primitives of the serving stack. This
+// library deliberately links against whyprov_util ONLY: the scheduler
+// plugs into util::Executor's TaskQueue interface and the tenant
+// registry is plain counters, so the service layer uses both without
+// new cross-layer dependencies.
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <unordered_map>
 
 namespace whyprov::qos {
 
@@ -28,48 +23,6 @@ enum class QosClass : std::uint8_t {
 
 /// Number of lanes (for per-lane arrays).
 inline constexpr std::size_t kNumLanes = 2;
-
-/// Canonical lane names, as emitted in stats rows and bench output.
-inline const char* LaneName(QosClass lane) {
-  return lane == QosClass::kBatch ? "batch" : "interactive";
-}
-
-/// QoS configuration for a serving stack. The zero-argument default is
-/// the *enabled* configuration with no per-tenant limits: fair queueing
-/// on, every tenant weight 1.0, no cost budget, no rate limit — under
-/// which all-default-class traffic behaves exactly like the pre-QoS
-/// FIFO (architecture invariant 6).
-struct QosOptions {
-  /// Run the deficit-weighted fair scheduler instead of the FIFO queue.
-  bool fair_queueing = true;
-
-  /// Deficit replenished per scheduling round, per unit of tenant
-  /// weight, in cost units. Larger quanta give each tenant longer
-  /// uninterrupted runs; throughput shares stay weight-proportional
-  /// either way.
-  double quantum = 16.0;
-
-  /// Serve one batch-lane task after this many consecutive
-  /// interactive-lane pops while batch work is waiting — the
-  /// anti-starvation escape. 0 disables the escape (strict priority).
-  std::size_t batch_escape = 8;
-
-  /// Per-tenant scheduling weights; tenants not listed weigh 1.0.
-  std::unordered_map<std::string, double> tenant_weights;
-
-  /// Maximum outstanding estimated cost per tenant (admitted but not
-  /// yet completed). 0 = unlimited. Exceeding it refuses the request
-  /// with kResourceExhausted; completion (including cancellation)
-  /// refunds the charge.
-  double tenant_cost_budget = 0;
-
-  /// Token-bucket refill rate per tenant, in cost units per second.
-  /// 0 = no rate limit.
-  double refill_per_second = 0;
-
-  /// Token-bucket capacity in cost units; 0 = one second's refill.
-  double burst = 0;
-};
 
 }  // namespace whyprov::qos
 

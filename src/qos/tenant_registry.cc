@@ -36,15 +36,9 @@ void TenantRegistry::RecordQueueRefused(const std::string& tenant,
   ++row.rejected;
 }
 
-void TenantRegistry::RecordRejected(const std::string& tenant,
-                                    QosClass lane) {
-  const util::MutexLock lock(mutex_);
-  ++RowFor(tenant, lane).rejected;
-}
-
 void TenantRegistry::RecordCompleted(const std::string& tenant,
                                      QosClass lane, bool cancelled,
-                                     double cost, double queue_seconds) {
+                                     double queue_seconds) {
   const util::MutexLock lock(mutex_);
   Row& row = RowFor(tenant, lane);
   if (row.queued > 0) --row.queued;
@@ -52,7 +46,6 @@ void TenantRegistry::RecordCompleted(const std::string& tenant,
     ++row.cancelled;
   } else {
     ++row.served;
-    row.cost_served += std::max(0.0, cost);
   }
   if (row.waits.size() < kSampleCapacity) {
     row.waits.push_back(queue_seconds);
@@ -79,7 +72,6 @@ std::vector<TenantStats> TenantRegistry::Snapshot() const {
       stats.served = row.served;
       stats.rejected = row.rejected;
       stats.cancelled = row.cancelled;
-      stats.cost_served = row.cost_served;
       stats.queue_p50_seconds = Percentile(row.waits, 0.50);
       stats.queue_p99_seconds = Percentile(row.waits, 0.99);
       rows.push_back(std::move(stats));

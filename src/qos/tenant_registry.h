@@ -22,9 +22,8 @@ struct TenantStats {
   QosClass lane = QosClass::kInteractive;
   std::uint64_t queued = 0;     ///< admitted, not yet completed
   std::uint64_t served = 0;     ///< completed (any terminal status but cancel)
-  std::uint64_t rejected = 0;   ///< refused at admission
+  std::uint64_t rejected = 0;   ///< refused because the queue was full
   std::uint64_t cancelled = 0;  ///< cancelled or deadline-exceeded
-  double cost_served = 0;       ///< estimated cost of served requests
   double queue_p50_seconds = 0;  ///< median queue wait (sampled)
   double queue_p99_seconds = 0;  ///< p99 queue wait (sampled)
 };
@@ -46,15 +45,11 @@ class TenantRegistry {
   void RecordQueueRefused(const std::string& tenant, QosClass lane)
       EXCLUDES(mutex_);
 
-  /// A request was refused at admission (never queued).
-  void RecordRejected(const std::string& tenant, QosClass lane)
-      EXCLUDES(mutex_);
-
   /// An admitted request reached its terminal state. `cancelled` covers
   /// cancellation and deadline expiry; everything else counts as
   /// served. `queue_seconds` feeds the wait-percentile ring.
   void RecordCompleted(const std::string& tenant, QosClass lane,
-                       bool cancelled, double cost, double queue_seconds)
+                       bool cancelled, double queue_seconds)
       EXCLUDES(mutex_);
 
   /// Snapshot of every row, sorted by (tenant, lane) for deterministic
@@ -71,7 +66,6 @@ class TenantRegistry {
     std::uint64_t served = 0;
     std::uint64_t rejected = 0;
     std::uint64_t cancelled = 0;
-    double cost_served = 0;
     std::vector<double> waits;  ///< ring buffer, capacity kSampleCapacity
     std::size_t next_wait = 0;
   };

@@ -21,10 +21,6 @@ struct Ticket::State {
   std::shared_ptr<MemberSink> sink;
   util::CancellationSource cancel;
   util::Timer submit_timer;  ///< starts at admission; measures queue wait
-  /// QoS: the cost charged at admission, refunded once at completion
-  /// (success, failure, or cancellation alike — refund-on-cancel is the
-  /// same code path).
-  double estimated_cost = 0;
 
   mutable util::Mutex mutex;
   util::CondVar cv;
@@ -157,15 +153,15 @@ RequestKind KindOf(const Request& request) {
   }
 }
 
-/// The worker pool's options: the configured fair scheduler as the queue
-/// discipline, or the plain FIFO when QoS fair queueing is disabled.
+/// The worker pool's options: the fair scheduler as the queue
+/// discipline, or the plain FIFO when fair queueing is disabled.
 util::Executor::Options ExecutorOptionsFor(const ServiceOptions& options) {
   util::Executor::Options exec;
   exec.num_threads = options.num_threads;
   exec.queue_capacity = options.queue_capacity == 0 ? 1
                                                     : options.queue_capacity;
-  if (options.qos.fair_queueing) {
-    exec.queue = std::make_shared<qos::FairScheduler>(options.qos);
+  if (options.fair_queueing) {
+    exec.queue = std::make_shared<qos::FairScheduler>();
   }
   return exec;
 }
@@ -214,7 +210,6 @@ void FillBatchStats(const PlanCacheStats& before, const PlanCacheStats& after,
 Service::Service(Engine engine, ServiceOptions options)
     : engine_(std::move(engine)),
       options_(options),
-      admission_(options.qos),
       executor_(ExecutorOptionsFor(options)) {
   OpenDurability();
 }
@@ -284,21 +279,8 @@ util::Result<Ticket> Service::Submit(Request request,
   // exactly like a client-side deadline would.
   if (deadline > 0) state->cancel.SetTimeout(deadline);
 
-  // QoS: price the request, then run cost-based admission before it can
-  // occupy a queue slot. The charge is refunded exactly once, in Finish
-  // (cancellation included — refund-on-cancel is the same path).
   const qos::QosClass lane = state->request.qos_class;
   const std::string& tenant = state->request.tenant;
-  state->estimated_cost = EstimateCost(state->request);
-  if (util::Status priced = admission_.Admit(tenant, state->estimated_cost);
-      !priced.ok()) {
-    {
-      const util::MutexLock lock(stats_mutex_);
-      ++stats_.rejected;
-    }
-    tenants_.RecordRejected(tenant, lane);
-    return priced;
-  }
 
   // Count the submission (and stamp the id), the tenant's queue entry,
   // and the group-commit backlog before the task can run: a worker may
@@ -319,7 +301,6 @@ util::Result<Ticket> Service::Submit(Request request,
   util::TaskTag tag;
   tag.lane = static_cast<std::uint8_t>(lane);
   tag.tenant = tenant;
-  tag.cost = state->estimated_cost;
   const util::Status admitted =
       executor_.TrySubmit([this, state] { Execute(state); }, tag);
   if (!admitted.ok()) {
@@ -331,47 +312,10 @@ util::Result<Ticket> Service::Submit(Request request,
     if (group_commit_delta) {
       delta_backlog_.fetch_sub(1, std::memory_order_relaxed);
     }
-    admission_.Release(tenant, state->estimated_cost);
     tenants_.RecordQueueRefused(tenant, lane);
     return admitted;
   }
   return Ticket(state);
-}
-
-double Service::EstimateCost(const Request& request) const {
-  qos::CostSignals signals;
-  if (KindOf(request) == RequestKind::kApplyDelta) {
-    const DeltaRequest& delta = std::get<DeltaRequest>(request.op);
-    signals.delta_facts =
-        delta.added_facts.size() + delta.added_fact_texts.size() +
-        delta.removed_facts.size() + delta.removed_fact_texts.size();
-    signals.database_facts = engine_.PinSnapshot()->database_size;
-    return qos::CostEstimator::Delta(signals);
-  }
-  PlanCostPeek peek;
-  switch (request.op.index()) {
-    case 0: {
-      const EnumerateRequest& op = std::get<EnumerateRequest>(request.op);
-      peek = engine_.PeekPlanCost(op.target, op.target_text);
-      break;
-    }
-    case 1: {
-      const DecideRequest& op = std::get<DecideRequest>(request.op);
-      peek = engine_.PeekPlanCost(op.target, op.target_text);
-      break;
-    }
-    default: {
-      const ExplainRequest& op = std::get<ExplainRequest>(request.op);
-      peek = engine_.PeekPlanCost(op.target, op.target_text);
-      break;
-    }
-  }
-  signals.plan_cached = peek.plan_cached;
-  signals.closure_facts = peek.closure_facts;
-  signals.cnf_clauses = peek.cnf_clauses;
-  signals.cnf_variables = peek.cnf_variables;
-  signals.database_facts = peek.database_facts;
-  return qos::CostEstimator::Query(signals);
 }
 
 util::Result<PreparedQuery> Service::PrepareFor(
@@ -591,16 +535,11 @@ void Service::MaybeCheckpoint() {
 
 void Service::Finish(const std::shared_ptr<Ticket::State>& state,
                      Response response) {
-  // The single release point for the admission charge: success, failure,
-  // and cancellation all pass through here exactly once, so a cancelled
-  // request's budget is refunded the moment its ticket goes terminal.
-  admission_.Release(state->request.tenant, state->estimated_cost);
   const bool cancelled =
       response.status.code() == util::StatusCode::kCancelled ||
       response.status.code() == util::StatusCode::kDeadlineExceeded;
   tenants_.RecordCompleted(state->request.tenant, state->request.qos_class,
-                           cancelled, state->estimated_cost,
-                           response.queue_seconds);
+                           cancelled, response.queue_seconds);
   // Group commit: the delta that empties the backlog closes the burst
   // and flushes the one coalesced fsync covering all of it.
   if (wal_group_commit_ &&

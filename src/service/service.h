@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "engine/engine.h"
-#include "qos/cost.h"
 #include "qos/qos.h"
 #include "qos/tenant_registry.h"
 #include "util/cancellation.h"
@@ -57,8 +56,8 @@ struct Request {
 /// Outcome of one submitted request, delivered through its `Ticket`.
 /// `status` is Ok, a per-operation failure, or the interruption verdicts:
 /// kCancelled (Ticket::Cancel, or a streaming consumer that closed its
-/// stream), kDeadlineExceeded, kResourceExhausted (never stored here —
-/// admission rejections fail Submit itself).
+/// stream), kDeadlineExceeded, kResourceExhausted (only a snapshot-GC
+/// eviction — a full queue fails Submit itself).
 struct Response {
   util::Status status;
   RequestKind kind = RequestKind::kEnumerate;
@@ -246,11 +245,10 @@ struct ServiceOptions {
   std::size_t queue_capacity = 256;
   /// Deadline applied to requests that carry none (<= 0 = none).
   double default_deadline_seconds = 0;
-  /// Multi-tenant QoS policy: scheduling lanes/weights and cost-based
-  /// admission. The default is fair queueing with no per-tenant limits,
-  /// under which default-class traffic behaves exactly like the pre-QoS
-  /// FIFO.
-  qos::QosOptions qos;
+  /// Schedule through qos::FairScheduler (two lanes, per-tenant round
+  /// robin) instead of the plain FIFO queue. Default-class traffic pops
+  /// in the same order either way (architecture invariant 6).
+  bool fair_queueing = true;
 };
 
 /// Point-in-time serving counters (cumulative since construction).
@@ -389,11 +387,6 @@ class Service {
   /// (caller holds the store's order mutex).
   void MaybeCheckpoint();
 
-  /// Prices `request` for scheduling and admission: queries peek the
-  /// plan cache (a cached plan prices near the floor), deltas price by
-  /// touched facts. Never compiles anything.
-  double EstimateCost(const Request& request) const;
-
   void Execute(const std::shared_ptr<Ticket::State>& state);
   void Finish(const std::shared_ptr<Ticket::State>& state,
               Response response);
@@ -424,9 +417,8 @@ class Service {
   /// Requests whose execution began.
   std::uint64_t started_ GUARDED_BY(stats_mutex_) = 0;
   std::uint64_t next_id_ GUARDED_BY(stats_mutex_) = 0;
-  /// QoS: per-(tenant, lane) observability and cost-based admission.
+  /// QoS: per-(tenant, lane) observability.
   qos::TenantRegistry tenants_;
-  qos::AdmissionController admission_;
   /// Declared last: workers touch everything above, so the executor must
   /// be drained and joined first (the destructor shuts it down).
   util::Executor executor_;

@@ -27,18 +27,15 @@ inline std::size_t ResolveThreadCount(std::size_t requested) {
 }
 
 /// Scheduling identity attached to a submitted task. The default tag
-/// (interactive lane, empty tenant, unit cost) is what every
-/// pre-QoS caller implicitly submits, and a scheduler seeing only
-/// default tags must pop in exact FIFO order — that equivalence is an
-/// architecture invariant (docs/ARCHITECTURE.md) and is tested in
-/// tests/test_qos.cc.
+/// (interactive lane, empty tenant) is what every pre-QoS caller
+/// implicitly submits, and a scheduler seeing only default tags must pop
+/// in exact FIFO order — that equivalence is an architecture invariant
+/// (docs/ARCHITECTURE.md) and is tested in tests/test_qos.cc.
 struct TaskTag {
   /// 0 = interactive, 1 = batch (mirrors qos::QosClass).
   std::uint8_t lane = 0;
   /// Tenant / client identity; "" is the shared default tenant.
   std::string tenant;
-  /// Estimated execution cost in abstract units (>= 0).
-  double cost = 1.0;
 };
 
 /// The executor's queue discipline, pluggable so a scheduler (e.g.

@@ -2,8 +2,8 @@
 // cancel/stream-next/destroy lifecycle, status-code mirroring, both
 // enumeration modes (materialised index walk and streaming pull with
 // backpressure), decide/explain/delta payloads, deadline propagation,
-// enum-valued inputs, and the num_shards compatibility field. Everything
-// here goes through
+// enum-valued inputs, per-tenant stats, and the compatibility fields
+// (num_shards, the inert QoS tuning fields). Everything here goes through
 // the extern "C" surface only — what a foreign-language binding would
 // see.
 
@@ -438,6 +438,43 @@ TEST(CApiEnumInputTest, TreeClassOutsideTheEnumFailsSubmit) {
   EXPECT_EQ(stats.submitted, 4u);
 }
 
+// --- QoS options: fair queueing has one switch, nothing to tune ----------
+
+/// Expects create to refuse `options` with INVALID_ARGUMENT naming `field`.
+void ExpectCreateRefuses(const whyprov_options& options, const char* field) {
+  ServiceHandle handle(&options);
+  EXPECT_EQ(handle.status, WHYPROV_INVALID_ARGUMENT) << field;
+  EXPECT_EQ(handle.service, nullptr) << field;
+  EXPECT_NE(std::strstr(handle.error, field), nullptr) << handle.error;
+}
+
+TEST(CApiQosFieldsTest, NonzeroInertTuningFieldFailsCreate) {
+  whyprov_options options;
+  for (const int qos_disable : {0, 1}) {
+    whyprov_options_init(&options);
+    options.qos_disable = qos_disable;
+    ServiceHandle handle(&options);
+    ASSERT_EQ(handle.status, WHYPROV_OK) << handle.error;
+  }
+  // Each field is kept for layout only: a caller setting it would get a
+  // different policy than it asked for, so create refuses and names it.
+  whyprov_options_init(&options);
+  options.qos_quantum = 16;
+  ExpectCreateRefuses(options, "qos_quantum");
+  whyprov_options_init(&options);
+  options.qos_batch_escape = 8;
+  ExpectCreateRefuses(options, "qos_batch_escape");
+  whyprov_options_init(&options);
+  options.qos_tenant_cost_budget = 64;
+  ExpectCreateRefuses(options, "qos_tenant_cost_budget");
+  whyprov_options_init(&options);
+  options.qos_refill_per_second = 32;
+  ExpectCreateRefuses(options, "qos_refill_per_second");
+  whyprov_options_init(&options);
+  options.qos_burst = 0.5;
+  ExpectCreateRefuses(options, "qos_burst");
+}
+
 TEST(CApiStatsTest, CountersTrackTheServedRequests) {
   ServiceHandle handle;
   ASSERT_EQ(handle.status, WHYPROV_OK) << handle.error;
@@ -454,6 +491,35 @@ TEST(CApiStatsTest, CountersTrackTheServedRequests) {
   EXPECT_GE(stats.submitted, 3u);
   EXPECT_GE(stats.succeeded, 3u);
   EXPECT_GE(stats.members_delivered, 3u);
+}
+
+TEST(CApiStatsTest, TenantStatsSizeQueryReturnsTheRowCount) {
+  ServiceHandle handle;
+  ASSERT_EQ(handle.status, WHYPROV_OK) << handle.error;
+  EXPECT_EQ(whyprov_service_tenant_stats(handle.service, nullptr, 0), 0u);
+  for (const int qos_class : {WHYPROV_QOS_INTERACTIVE, WHYPROV_QOS_BATCH}) {
+    whyprov_ticket* ticket = nullptr;
+    ASSERT_EQ(whyprov_submit_enumerate_qos(handle.service, kTarget, 1, 0, 0,
+                                           qos_class, "t", &ticket),
+              WHYPROV_OK);
+    whyprov_ticket_wait(ticket);
+    whyprov_ticket_destroy(ticket);
+  }
+
+  // One row per (tenant, lane) used; capacity 0 sizes the buffer.
+  const std::size_t rows =
+      whyprov_service_tenant_stats(handle.service, nullptr, 0);
+  ASSERT_EQ(rows, 2u);
+  std::vector<whyprov_tenant_stats> buffer(rows);
+  ASSERT_EQ(whyprov_service_tenant_stats(handle.service, buffer.data(), rows),
+            rows);
+  for (std::size_t i = 0; i < rows; ++i) {
+    EXPECT_STREQ(buffer[i].tenant, "t");
+    EXPECT_EQ(buffer[i].qos_class, static_cast<int>(i));  // sorted by lane
+    EXPECT_EQ(buffer[i].served, 1u);
+    EXPECT_EQ(buffer[i].queued, 0u);
+    EXPECT_EQ(buffer[i].cost_served, 0.0);
+  }
 }
 
 }  // namespace

@@ -461,8 +461,6 @@ TEST(EnginePlanCacheTest, GetOrBuildCoalescesConcurrentMisses) {
       engine.value().program(), engine.value().model(), target.value(),
       pv::CnfEncoder::Options(), sat::SimplifyMode::kOff);
   ASSERT_NE(plan, nullptr);
-  constexpr std::uint64_t kVersion = 7;
-  plan->set_model_version(kVersion);
 
   PlanCache cache(/*capacity=*/4);
   util::Mutex gate_mutex;
@@ -481,7 +479,7 @@ TEST(EnginePlanCacheTest, GetOrBuildCoalescesConcurrentMisses) {
   std::vector<std::shared_ptr<const pv::QueryPlan>> results(kThreads);
   for (std::size_t i = 0; i < kThreads; ++i) {
     threads.emplace_back([&, i] {
-      results[i] = cache.GetOrBuild(target.value(), kVersion, build);
+      results[i] = cache.GetOrBuild(target.value(), build);
     });
   }
   // Exactly one thread became the builder (parked on the gate); the
@@ -503,7 +501,7 @@ TEST(EnginePlanCacheTest, GetOrBuildCoalescesConcurrentMisses) {
   EXPECT_EQ(stats.size, 1u);
 
   // The flight is gone: a follow-up lookup is a plain hit, no build.
-  EXPECT_EQ(cache.GetOrBuild(target.value(), kVersion, build), plan);
+  EXPECT_EQ(cache.GetOrBuild(target.value(), build), plan);
   EXPECT_EQ(builds.load(), 1u);
   EXPECT_EQ(cache.stats().hits, stats.hits + 1);
 }

@@ -549,6 +549,57 @@ TEST(NetServerTest, UnknownTreeClassIsAnInvalidArgumentFinal) {
   EXPECT_EQ(stats.value().submitted, 1u);
 }
 
+TEST(NetServerTest, OversizedStreamBatchIsAnInvalidArgumentFinal) {
+  ServedStack stack(kDiamondProgram, kDiamondDatabase);
+  ASSERT_TRUE(stack.ok());
+  Client client = MustConnect(stack);
+  // The responder buffers a whole member batch before writing it, so a
+  // batch_size past kMaxBatchSize would switch backpressure off: the
+  // request fails before submission and the session keeps serving.
+  EnumerateFrame frame;
+  frame.request_id = client.NextRequestId();
+  frame.target = kTarget;
+  frame.stream = 1;
+  frame.batch_size = kMaxBatchSize + 1;
+  ASSERT_TRUE(client.Send(frame).ok());
+  auto refused = client.AwaitFinal(frame.request_id);
+  ASSERT_TRUE(refused.ok()) << refused.status().message();
+  EXPECT_EQ(refused.value().code(), WHYPROV_INVALID_ARGUMENT);
+  EXPECT_TRUE(refused.value().streamed_members.empty());
+
+  // The cap itself streams as usual.
+  auto streamed = client.Enumerate(kTarget, 0, 0, /*stream=*/true,
+                                   /*batch_size=*/kMaxBatchSize);
+  ASSERT_TRUE(streamed.ok()) << streamed.status().message();
+  ASSERT_TRUE(streamed.value().ok());
+  EXPECT_EQ(streamed.value().streamed_members.size(), kDiamondMembers);
+
+  auto stats = client.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().message();
+  EXPECT_EQ(stats.value().submitted, 1u);
+}
+
+TEST(NetServerTest, StatsReplyCarriesTheTenantRows) {
+  ServedStack stack(kDiamondProgram, kDiamondDatabase);
+  ASSERT_TRUE(stack.ok());
+  Client client = MustConnect(stack);
+  client.SetQos(WHYPROV_QOS_BATCH, "t");
+  auto outcome = client.Enumerate(kTarget, 1);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().message();
+  ASSERT_TRUE(outcome.value().ok());
+
+  auto reply = client.StatsWithTenants();
+  ASSERT_TRUE(reply.ok()) << reply.status().message();
+  ASSERT_EQ(reply.value().tenants.size(), 1u);
+  const WireTenantStats& row = reply.value().tenants[0];
+  EXPECT_EQ(row.tenant, "t");
+  EXPECT_EQ(row.qos_class, WHYPROV_QOS_BATCH);
+  EXPECT_GE(row.served, 1u);
+  EXPECT_EQ(row.queued, 0u);
+  EXPECT_EQ(row.rejected, 0u);
+  EXPECT_EQ(row.cost_served, 0.0);
+}
+
 TEST(NetServerTest, WireDeadlinePropagatesToTheCancellationToken) {
   whyprov_options options;
   whyprov_options_init(&options);

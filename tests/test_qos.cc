@@ -1,11 +1,10 @@
-// Tests of the multi-tenant QoS subsystem (src/qos/): deficit-weighted
-// fair queueing (weight-proportional throughput under saturation), the
-// batch lane's anti-starvation escape, cost-based admission with
-// refund-on-cancel, exact per-tenant gauges, and the FIFO-equivalence
-// invariant — a scheduler seeing only default
-// tags must pop in exact push order, which is what keeps default-class
-// traffic bit-identical to the pre-QoS service. The CI runs this binary
-// under ThreadSanitizer.
+// Tests of the multi-tenant QoS subsystem (src/qos/): per-tenant round
+// robin within a lane (equal shares under saturation, no state kept for
+// idle tenants), the batch lane's anti-starvation escape, exact
+// per-tenant gauges, and the FIFO-equivalence invariant — a scheduler
+// seeing only default tags must pop in exact push order, which is what
+// keeps default-class traffic bit-identical to the pre-QoS service. The
+// CI runs this binary under ThreadSanitizer.
 
 #include <cstdint>
 #include <functional>
@@ -15,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "qos/cost.h"
 #include "qos/qos.h"
 #include "qos/scheduler.h"
 #include "util/executor.h"
@@ -37,43 +35,58 @@ std::function<void()> Record(std::vector<std::string>& log,
   return [&log, label = std::move(label)] { log.push_back(label); };
 }
 
-// --- scheduler: weighted fairness ----------------------------------------
+// --- scheduler: per-tenant round robin -----------------------------------
 
-TEST(FairSchedulerTest, ThroughputSharesAreWeightProportional) {
-  qos::QosOptions options;
-  options.quantum = 1.0;
-  options.tenant_weights = {{"heavy", 3.0}, {"light", 1.0}};
-  qos::FairScheduler scheduler(options);
+TEST(FairSchedulerTest, TenantsInALaneAlternateBehindAFlood) {
+  qos::FairScheduler scheduler;
 
   std::vector<std::string> log;
   for (int i = 0; i < 40; ++i) {
-    scheduler.Push(Record(log, "heavy"),
-                   Tag(qos::QosClass::kInteractive, "heavy"));
-    scheduler.Push(Record(log, "light"),
-                   Tag(qos::QosClass::kInteractive, "light"));
+    scheduler.Push(Record(log, "flood"),
+                   Tag(qos::QosClass::kInteractive, "flood"));
+  }
+  for (int i = 0; i < 40; ++i) {
+    scheduler.Push(Record(log, "late"),
+                   Tag(qos::QosClass::kInteractive, "late"));
   }
   // A saturated window: both tenants have work queued throughout.
   for (int i = 0; i < 40; ++i) scheduler.Pop()();
 
-  int heavy = 0;
-  int light = 0;
-  for (const std::string& label : log) (label == "heavy" ? heavy : light)++;
-  // Deficit round robin with quantum 1 serves the 3.0-weight tenant
-  // exactly three unit tasks per rotation and the 1.0-weight tenant one.
-  EXPECT_EQ(heavy, 30);
-  EXPECT_EQ(light, 10);
+  // One task per tenant per rotation: the late tenant's first task pops
+  // second, however many tasks the flooding tenant queued before it, and
+  // the two split the window equally.
+  ASSERT_EQ(log.size(), 40u);
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i], i % 2 == 0 ? "flood" : "late") << "position " << i;
+  }
   EXPECT_EQ(scheduler.size(), 40u);
+}
+
+TEST(FairSchedulerTest, DrainedTenantsLeaveNoState) {
+  // Wire clients choose tenant names freely: state kept per name ever
+  // seen would grow without bound under a stream of distinct names.
+  qos::FairScheduler scheduler;
+  std::vector<std::string> log;
+  for (int i = 0; i < 1000; ++i) {
+    const qos::QosClass lane =
+        i % 2 == 0 ? qos::QosClass::kInteractive : qos::QosClass::kBatch;
+    scheduler.Push(Record(log, "t"), Tag(lane, "t" + std::to_string(i)));
+    if (i % 10 == 9) {
+      while (scheduler.size() > 0) scheduler.Pop()();
+      EXPECT_EQ(scheduler.active_tenants(), 0u) << "after push " << i;
+    }
+  }
+  EXPECT_EQ(log.size(), 1000u);
 }
 
 // --- scheduler: lanes ----------------------------------------------------
 
 TEST(FairSchedulerTest, BatchLaneIsStarvationFreeUnderInteractiveFlood) {
-  qos::QosOptions options;
-  options.batch_escape = 4;
-  qos::FairScheduler scheduler(options);
+  constexpr std::size_t kEscape = qos::FairScheduler::kBatchEscape;
+  qos::FairScheduler scheduler;
 
   std::vector<std::string> log;
-  for (int i = 0; i < 40; ++i) {
+  for (std::size_t i = 0; i < 8 * kEscape; ++i) {
     scheduler.Push(Record(log, "interactive"),
                    Tag(qos::QosClass::kInteractive, ""));
   }
@@ -82,30 +95,12 @@ TEST(FairSchedulerTest, BatchLaneIsStarvationFreeUnderInteractiveFlood) {
   }
   while (scheduler.size() > 0) scheduler.Pop()();
 
-  ASSERT_EQ(log.size(), 48u);
-  // After every batch_escape consecutive interactive pops one batch task
-  // is served: batch task k lands at position 4 + 5k, a bounded trickle
-  // instead of waiting for the interactive flood to end.
+  ASSERT_EQ(log.size(), 9 * kEscape);
+  // After every kBatchEscape consecutive interactive pops one batch task
+  // is served: batch task k lands at position kEscape + (kEscape + 1)k, a
+  // bounded trickle instead of waiting for the interactive flood to end.
   for (std::size_t k = 0; k < 8; ++k) {
-    EXPECT_EQ(log[4 + 5 * k], "batch") << "batch task " << k;
-  }
-}
-
-TEST(FairSchedulerTest, ZeroEscapeMeansStrictPriority) {
-  qos::QosOptions options;
-  options.batch_escape = 0;  // disables the escape hatch
-  qos::FairScheduler scheduler(options);
-
-  std::vector<std::string> log;
-  for (int i = 0; i < 10; ++i) {
-    scheduler.Push(Record(log, "batch"), Tag(qos::QosClass::kBatch, "b"));
-    scheduler.Push(Record(log, "interactive"),
-                   Tag(qos::QosClass::kInteractive, ""));
-  }
-  while (scheduler.size() > 0) scheduler.Pop()();
-  for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(log[i], "interactive") << "position " << i;
-    EXPECT_EQ(log[10 + i], "batch") << "position " << (10 + i);
+    EXPECT_EQ(log[kEscape + (kEscape + 1) * k], "batch") << "batch task " << k;
   }
 }
 
@@ -116,7 +111,7 @@ TEST(FairSchedulerTest, DefaultTagsPopInExactPushOrder) {
   // tenant) every scheduling level degenerates and the pop
   // order IS the push order — what keeps default-class behaviour (and
   // the bit-identical transcripts) unchanged from the pre-QoS FIFO.
-  qos::FairScheduler scheduler(qos::QosOptions{});
+  qos::FairScheduler scheduler;
   std::vector<std::string> log;
   for (int i = 0; i < 64; ++i) {
     scheduler.Push(Record(log, std::to_string(i)), util::TaskTag());
@@ -127,43 +122,7 @@ TEST(FairSchedulerTest, DefaultTagsPopInExactPushOrder) {
   }
 }
 
-// --- admission: budget, rate, refund -------------------------------------
-
-TEST(AdmissionControllerTest, OutstandingBudgetRefusesAndRefunds) {
-  qos::QosOptions options;
-  options.tenant_cost_budget = 10.0;
-  qos::AdmissionController admission(options);
-
-  EXPECT_TRUE(admission.Admit("t", 6.0).ok());
-  const util::Status refused = admission.Admit("t", 6.0);
-  EXPECT_EQ(refused.code(), util::StatusCode::kResourceExhausted);
-  // A refusal charges nothing, and budgets are per tenant.
-  EXPECT_DOUBLE_EQ(admission.Outstanding("t"), 6.0);
-  EXPECT_TRUE(admission.Admit("other", 6.0).ok());
-
-  admission.Release("t", 6.0);
-  EXPECT_DOUBLE_EQ(admission.Outstanding("t"), 0.0);
-  EXPECT_TRUE(admission.Admit("t", 6.0).ok());
-}
-
-TEST(AdmissionControllerTest, TokenBucketLimitsAdmittedCostPerSecond) {
-  qos::QosOptions options;
-  options.refill_per_second = 1.0;
-  options.burst = 2.0;
-  qos::AdmissionController admission(options);
-
-  EXPECT_TRUE(admission.AdmitAt("t", 1.0, 0.0).ok());
-  EXPECT_TRUE(admission.AdmitAt("t", 1.0, 0.0).ok());
-  const util::Status refused = admission.AdmitAt("t", 1.0, 0.0);
-  EXPECT_EQ(refused.code(), util::StatusCode::kResourceExhausted);
-  // Two seconds later the bucket refilled (capped at the burst depth).
-  EXPECT_TRUE(admission.AdmitAt("t", 1.0, 2.0).ok());
-  EXPECT_TRUE(admission.AdmitAt("t", 1.0, 2.0).ok());
-  EXPECT_EQ(admission.AdmitAt("t", 1.0, 2.0).code(),
-            util::StatusCode::kResourceExhausted);
-}
-
-// --- service: cost admission and refund-on-cancel ------------------------
+// --- service: per-tenant rows and the default-class invariant ----------
 
 constexpr const char* kDiamondProgram = R"(
   path(X, Y) :- edge(X, Y).
@@ -193,17 +152,16 @@ Request EnumerateOp(std::string tenant,
   return request;
 }
 
-TEST(ServiceQosTest, CostAdmissionRejectsAndCancelRefunds) {
+TEST(ServiceQosTest, TenantRowsCountQueueRefusalsCancelsAndServes) {
   ServiceOptions options;
-  // Two workers: one carries the deliberately-blocked stream below, the
-  // other keeps serving everything else.
-  options.num_threads = 2;
-  // Room for one in-flight diamond query (estimated cost a little above
-  // the 1.0 floor) but not two.
-  options.qos.tenant_cost_budget = 1.5;
+  // One worker, one queue slot: the deliberately-blocked stream below
+  // occupies the worker, one queued request fills the queue, and the
+  // next submit is refused.
+  options.num_threads = 1;
+  options.queue_capacity = 1;
   Service service(MakeEngine(), options);
 
-  // r1: a streaming enumeration holds its admission charge while the
+  // r1: a streaming enumeration occupies the only worker while the
   // bounded stream (capacity 1) blocks the producer.
   auto stream = std::make_shared<MemberStream>(/*capacity=*/1);
   auto streamed = service.Submit(EnumerateOp("t"), stream);
@@ -211,22 +169,21 @@ TEST(ServiceQosTest, CostAdmissionRejectsAndCancelRefunds) {
   Ticket ticket = std::move(streamed).value();
   ASSERT_TRUE(stream->Pop().has_value());  // the producer is live
 
-  // r2: the same tenant exceeds its outstanding budget — refused at
-  // Submit, nothing queued.
+  // r2 (another tenant) takes the one queue slot...
+  auto other = service.Submit(EnumerateOp("u"));
+  ASSERT_TRUE(other.ok()) << other.status().message();
+
+  // ...so r3 is refused at Submit, nothing queued.
   auto rejected = service.Submit(EnumerateOp("t"));
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), util::StatusCode::kResourceExhausted);
 
-  // Other tenants are unaffected by t's budget.
-  auto other = service.Submit(EnumerateOp("u"));
-  ASSERT_TRUE(other.ok()) << other.status().message();
-  EXPECT_TRUE(other.value().Wait().status.ok());
-
-  // Cancel r1: its terminal response refunds the charge...
+  // Cancel r1: the worker moves on to r2 and the queue drains...
   ticket.Cancel();
   while (stream->Pop().has_value()) {
   }
   EXPECT_EQ(ticket.Wait().status.code(), util::StatusCode::kCancelled);
+  EXPECT_TRUE(other.value().Wait().status.ok());
 
   // ...so the tenant is admitted again.
   auto retried = service.Submit(EnumerateOp("t"));
@@ -254,10 +211,10 @@ TEST(ServiceQosTest, DefaultClassRequestsMatchFifoServiceResults) {
   // produces identical responses.
   ServiceOptions fair;
   fair.num_threads = 1;
-  ASSERT_TRUE(fair.qos.fair_queueing);
+  ASSERT_TRUE(fair.fair_queueing);
   ServiceOptions fifo;
   fifo.num_threads = 1;
-  fifo.qos.fair_queueing = false;
+  fifo.fair_queueing = false;
 
   Service fair_service(MakeEngine(), fair);
   Service fifo_service(MakeEngine(), fifo);

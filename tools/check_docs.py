@@ -26,6 +26,9 @@ Checks (all must pass; exit 1 with a per-failure report otherwise):
      ends with the four appended plan-simplify counters and the
      plan-simplify section table of docs/WIRE_PROTOCOL.md lists
      exactly those fields, in order.
+  7. The wire limits: docs/WIRE_PROTOCOL.md quotes `kMaxFrameBytes`
+     and, in the kFrameEnumerate table's `batch_size` row,
+     `kMaxBatchSize` with the values src/net/wire.h declares.
 
 Usage: python3 tools/check_docs.py   (from anywhere; paths are
 repo-relative to this script's parent directory)
@@ -346,6 +349,51 @@ def check_simplify_surface(failures):
         )
 
 
+# Wire limits the doc quotes as "`name` = <value>" (a KiB/MiB unit is
+# allowed), and the table row each quote must sit in (None = anywhere).
+WIRE_LIMITS = [("kMaxFrameBytes", None), ("kMaxBatchSize", "batch_size")]
+UNITS = {"": 1, "KiB": 1024, "MiB": 1024 * 1024}
+
+
+def check_wire_limits(failures):
+    header = WIRE_H.read_text()
+    doc = WIRE_DOC.read_text()
+    for name, row in WIRE_LIMITS:
+        declared = re.search(
+            r"constexpr\s+std::uint32_t\s+" + name + r"\s*=\s*([^;]+);",
+            header,
+        )
+        if not declared:
+            failures.append(f"{WIRE_H.name}: cannot find constant {name}")
+            continue
+        value = 1
+        for factor in declared.group(1).split("*"):
+            value *= int(factor.strip().rstrip("uU"))
+        scope = doc
+        if row is not None:
+            lines = [
+                line for line in doc.splitlines()
+                if line.startswith(f"| `{row}` |")
+            ]
+            scope = "\n".join(lines)
+        quotes = re.findall(
+            r"`" + name + r"`\s*=\s*(\d+)\s*(KiB|MiB)?", scope
+        )
+        where = f"the `{row}` row" if row is not None else "anywhere"
+        if not quotes:
+            failures.append(
+                f"{WIRE_DOC.name}: does not quote `{name}` = <value> "
+                f"({where})"
+            )
+        for number, unit in quotes:
+            if int(number) * UNITS[unit] != value:
+                quoted = f"{number} {unit}".strip()
+                failures.append(
+                    f"{WIRE_DOC.name}: quotes `{name}` = {quoted} but "
+                    f"net/wire.h declares {value}"
+                )
+
+
 LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 
@@ -373,6 +421,7 @@ def main():
     check_storage_constants(failures)
     check_qos_surface(failures)
     check_simplify_surface(failures)
+    check_wire_limits(failures)
     check_links(failures)
     if failures:
         for failure in failures:
@@ -381,8 +430,8 @@ def main():
         return 1
     print(
         "check_docs: frame table, status table, storage constants, QoS "
-        f"surface, simplify surface, and {len(LINKED_DOCS)} files' links "
-        "all match the sources"
+        f"surface, simplify surface, wire limits, and {len(LINKED_DOCS)} "
+        "files' links all match the sources"
     )
     return 0
 
