@@ -90,15 +90,12 @@ std::string FreshDataDir(const std::string& tag) {
 }
 
 /// Applies `count` deltas (alternating remove/restore of one database
-/// fact) through the service in windows of `burst` in-flight tickets
-/// (1 = fully sequential, the historical shape) and returns the wall
-/// time. Takes the fact by value: references into the engine's snapshot
-/// die at the first applied delta.
+/// fact) through the service one at a time and returns the wall time.
+/// Takes the fact by value: references into the engine's snapshot die
+/// at the first applied delta.
 double ChurnDeltas(whyprov::Service& service, const dl::Fact churn_fact,
-                   std::size_t count, std::size_t burst = 1) {
+                   std::size_t count) {
   bool fact_removed = false;
-  std::vector<whyprov::Ticket> window;
-  window.reserve(burst);
   whyprov::util::Timer timer;
   for (std::size_t i = 0; i < count; ++i) {
     whyprov::DeltaRequest delta;
@@ -116,26 +113,14 @@ double ChurnDeltas(whyprov::Service& service, const dl::Fact churn_fact,
                    ticket.status().message().c_str());
       std::exit(1);
     }
-    window.push_back(std::move(ticket).value());
-    if (window.size() >= std::max<std::size_t>(1, burst) ||
-        i + 1 == count) {
-      for (whyprov::Ticket& pending : window) (void)pending.Wait();
-      window.clear();
-    }
+    (void)ticket.value().Wait();
   }
   return timer.ElapsedSeconds();
 }
 
-/// Group-commit rows submit deltas in bursts this deep: fsync
-/// coalescing only exists while several deltas are in flight (a lone
-/// delta is the burst boundary and syncs immediately, making group
-/// commit identical to wal=on under the sequential shape).
-constexpr std::size_t kGroupCommitBurst = 32;
-
 Run MeasureThroughput(const SuiteEntry& entry, const std::string& wal_mode,
                       std::size_t deltas, std::size_t reps) {
-  const bool wal_on = wal_mode != "off";
-  const bool group_commit = wal_mode == "group";
+  const bool wal_on = wal_mode == "on";
   Run run;
   run.scenario = entry.scenario;
   run.database = entry.database;
@@ -154,7 +139,6 @@ Run MeasureThroughput(const SuiteEntry& entry, const std::string& wal_mode,
       // pure filesystem jitter. 128 keeps >= 3 checkpoints in every
       // measured run while letting the per-delta WAL cost dominate.
       engine_options.checkpoint_interval = 128;
-      engine_options.wal_group_commit = group_commit;
     }
     whyprov::ServiceOptions service_options;
     whyprov::Service service(scenario.MakeEngine(engine_options),
@@ -168,8 +152,7 @@ Run MeasureThroughput(const SuiteEntry& entry, const std::string& wal_mode,
     if (db_facts.empty()) continue;
     const dl::Fact churn_fact = db_facts[db_facts.size() / 2];
 
-    const double wall_seconds = ChurnDeltas(
-        service, churn_fact, deltas, group_commit ? kGroupCommitBurst : 1);
+    const double wall_seconds = ChurnDeltas(service, churn_fact, deltas);
     const double rate =
         wall_seconds > 0 ? static_cast<double>(deltas) / wall_seconds : 0;
     if (rep == 0 || rate > run.deltas_per_second) {
@@ -290,12 +273,7 @@ int main(int argc, char** argv) {
 
   std::vector<Run> runs;
   for (const SuiteEntry& entry : DurabilitySuite()) {
-    // "group" is wal=on with EngineOptions::wal_group_commit and a
-    // bursty submitter: acknowledged-at-burst-boundary durability, one
-    // coalesced fsync per burst. Its row is informational (the
-    // --min-wal-throughput gate compares "on" vs "off" only — the
-    // group row's burst shape is deliberately different).
-    for (const char* wal_mode : {"off", "on", "group"}) {
+    for (const char* wal_mode : {"off", "on"}) {
       Run run = MeasureThroughput(entry, wal_mode, flags.requests, flags.reps);
       std::printf(
           "%-14s %-12s wal=%-3s  %zu deltas in %8.5fs  %10.2f deltas/s  "

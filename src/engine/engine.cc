@@ -366,7 +366,7 @@ std::vector<dl::FactId> Engine::AnswerFactIds() const {
 }
 
 std::vector<dl::FactId> Engine::SampleAnswers(std::size_t count) const {
-  util::Rng rng(snapshot()->options.sampling_seed);
+  util::Rng rng(0);
   return SampleAnswers(count, rng);
 }
 

@@ -36,9 +36,9 @@ using provenance::kNoLimit;
 
 /// One consolidated option block for the whole engine: acyclicity
 /// encoding, SAT backend, plan simplification, materialisation budgets,
-/// plan-cache sizing, and sampling determinism. The first three are the
-/// only place a query's formula and solver are chosen; requests carry no
-/// overrides.
+/// plan-cache sizing, and the serving layer's durability. The first
+/// three are the only place a query's formula and solver are chosen;
+/// requests carry no overrides.
 struct EngineOptions {
   /// phi_acyclic encoding used by SAT-based services.
   provenance::AcyclicityEncoding acyclicity =
@@ -47,8 +47,6 @@ struct EngineOptions {
   std::string solver_backend = "cdcl";
   /// Budgets for the exhaustive/materialising algorithms.
   provenance::BaselineLimits baseline_limits;
-  /// Seed for SampleAnswers (same seed => same sample).
-  std::uint64_t sampling_seed = 0;
   /// Plans kept by the LRU plan cache behind Enumerate/Decide/Explain
   /// (keyed by target fact; 0 disables caching).
   std::size_t plan_cache_capacity = 64;
@@ -61,19 +59,6 @@ struct EngineOptions {
   /// kFull iterates with larger ones. No budget reads the clock, so the
   /// simplified formula is a function of the model alone.
   sat::SimplifyMode plan_simplify = sat::SimplifyMode::kFast;
-  /// Snapshot GC policy (serving-side): the number of deltas a running
-  /// request may trail the published model by while keeping its snapshot
-  /// pinned. When > 0, the serving layer fails an enumeration whose
-  /// pinned version lags the engine's by more than this
-  /// (kResourceExhausted, counted under ServiceStats::snapshot_evictions)
-  /// — cutting the pin so the COW chain stays bounded instead of growing
-  /// with the slowest consumer. 0 = never evict (the default).
-  std::size_t max_snapshot_lag = 0;
-  /// Alarm threshold on retained snapshot bytes: when > 0 and the COW
-  /// chain's approximate footprint exceeds it, ServiceStats reports
-  /// snapshot_alarm = true. Observability only; pair with
-  /// max_snapshot_lag for enforcement. 0 = no alarm.
-  std::size_t snapshot_alarm_bytes = 0;
   /// Durability (consumed by the serving layer, not the engine itself):
   /// directory holding the write-ahead delta log and checkpoints. When
   /// non-empty, Service opens a storage::DurableStore there, recovers
@@ -86,16 +71,6 @@ struct EngineOptions {
   /// just process crash). Off by default: the bench_durability numbers
   /// gate the non-fsync path.
   bool wal_fsync = false;
-  /// Group commit: with wal_fsync on, coalesce fsyncs across
-  /// consecutive ordered-lane deltas — each delta is appended
-  /// immediately, but the fsync is deferred until no further delta is
-  /// already waiting behind it (then one fsync covers the whole run).
-  /// The committed data is identical; what moves is the moment the
-  /// "durable against power loss" guarantee attaches: a delta's ticket
-  /// may complete a few records before its fsync. Recovery is
-  /// unaffected — a torn tail truncates exactly as without batching.
-  /// Ignored when wal_fsync is off.
-  bool wal_group_commit = false;
   /// Committed deltas between snapshot checkpoints; 0 = never
   /// checkpoint (recovery replays the full log).
   std::size_t checkpoint_interval = 32;
@@ -613,8 +588,8 @@ class Engine {
   /// The answer facts R(t) of the query.
   std::vector<datalog::FactId> AnswerFactIds() const;
 
-  /// Picks `count` answers uniformly without replacement, deterministic in
-  /// `options().sampling_seed` (repeated calls return the same sample).
+  /// Picks `count` answers uniformly without replacement from a fixed
+  /// seed of 0 (repeated calls return the same sample).
   std::vector<datalog::FactId> SampleAnswers(std::size_t count) const;
 
   /// Same, but driven by a caller-owned RNG stream.

@@ -65,10 +65,9 @@ void CancelSession(ServerSession& session) {
 
 /// Blocks until the session is below its in-flight cap, then queues the
 /// entry — the reader-side half of the per-connection bound.
-void Push(ServerSession& session, ServerSession::Pending pending,
-          std::size_t cap) {
+void Push(ServerSession& session, ServerSession::Pending pending) {
   const util::MutexLock lock(session.mutex);
-  while (session.queue.size() >= cap && !session.failed) {
+  while (session.queue.size() >= kMaxSessionTickets && !session.failed) {
     session.space_cv.Wait(session.mutex);
   }
   if (session.failed) {
@@ -194,8 +193,7 @@ void ServeTicket(ServerSession& session, ServerSession::Pending& pending) {
 
 }  // namespace
 
-Server::Server(whyprov_service* service, ServerOptions options)
-    : service_(service), options_(options) {}
+Server::Server(whyprov_service* service) : service_(service) {}
 
 Server::~Server() { Stop(); }
 
@@ -266,8 +264,7 @@ void Server::RunReader(ServerSession& session) {
   while (true) {
     std::uint8_t type = 0;
     std::string body;
-    const auto read =
-        ReadFrame(session.socket, &type, &body, options_.max_frame_bytes);
+    const auto read = ReadFrame(session.socket, &type, &body);
     if (!read.ok()) {
       if (read.code() == util::StatusCode::kInvalidArgument) {
         // Oversized/zero-length frame: a protocol violation, answered
@@ -275,7 +272,7 @@ void Server::RunReader(ServerSession& session) {
         ServerSession::Pending error;
         error.submit_status = WHYPROV_INVALID_ARGUMENT;
         error.error_message = read.message();
-        Push(session, std::move(error), options_.max_session_tickets);
+        Push(session, std::move(error));
       } else {
         // EOF or socket error: the client is gone.
         disconnected = true;
@@ -299,7 +296,7 @@ void Server::RunReader(ServerSession& session) {
         pending.stream = frame.value().stream != 0;
         pending.batch_size = frame.value().batch_size > 0
                                  ? frame.value().batch_size
-                                 : options_.default_batch_size;
+                                 : kDefaultBatchSize;
         if (pending.stream && pending.batch_size > kMaxBatchSize) {
           // The responder buffers a whole batch before writing it, so an
           // uncapped size would hold the family in memory however slowly
@@ -410,10 +407,10 @@ void Server::RunReader(ServerSession& session) {
       ServerSession::Pending error;
       error.submit_status = WHYPROV_INVALID_ARGUMENT;
       error.error_message = std::move(malformed_message);
-      Push(session, std::move(error), options_.max_session_tickets);
+      Push(session, std::move(error));
       break;
     }
-    Push(session, std::move(pending), options_.max_session_tickets);
+    Push(session, std::move(pending));
   }
 
   {

@@ -13,7 +13,8 @@
 //
 //   reader    — parses request frames, submits them through the ABI,
 //               and pushes the resulting tickets onto a bounded FIFO.
-//               The bound is the per-connection in-flight cap; a client
+//               The bound is the per-connection in-flight cap
+//               (kMaxSessionTickets, net/wire.h); a client
 //               that keeps submitting past it blocks in the kernel's
 //               socket buffers (backpressure, not rejection).
 //   responder — pops the FIFO in submission order and writes responses:
@@ -59,24 +60,13 @@ namespace internal {
 struct ServerSession;  // one accepted connection (defined in server.cc)
 }  // namespace internal
 
-struct ServerOptions {
-  /// In-flight tickets one connection may hold (queued + being served);
-  /// the reader stops parsing past it until responses drain.
-  std::size_t max_session_tickets = 64;
-  /// Members per kFrameMembers batch when the client's batch_size is 0.
-  std::uint32_t default_batch_size = 8;
-  /// Per-frame byte cap enforced on reads (writes use kMaxFrameBytes).
-  std::uint32_t max_frame_bytes = kMaxFrameBytes;
-};
-
 /// The wire-protocol server. Does not own the service handle: the
 /// caller creates it with whyprov_service_create, keeps it alive past
 /// Stop(), and destroys it afterwards. Thread-safe lifecycle: Start
 /// once, Stop from any thread (idempotent; the destructor stops too).
 class Server {
  public:
-  explicit Server(whyprov_service* service,
-                  ServerOptions options = ServerOptions());
+  explicit Server(whyprov_service* service);
   ~Server();
 
   Server(const Server&) = delete;
@@ -102,7 +92,6 @@ class Server {
   void RunResponder(internal::ServerSession& session);
 
   whyprov_service* const service_;
-  const ServerOptions options_;
   util::ListenSocket listener_;
   std::thread accept_thread_;
 

@@ -51,6 +51,9 @@ static_assert(WHYPROV_QOS_INTERACTIVE ==
               static_cast<int>(wp::qos::QosClass::kInteractive));
 static_assert(WHYPROV_QOS_BATCH ==
               static_cast<int>(wp::qos::QosClass::kBatch));
+// Every tenant name the service admits fits the row buffer untruncated.
+static_assert(sizeof(whyprov_tenant_stats::tenant) ==
+              wp::qos::kMaxTenantBytes + 1);
 
 whyprov_status ToC(const wp::util::Status& status) {
   return static_cast<whyprov_status>(status.code());
@@ -78,8 +81,8 @@ struct whyprov_service {
   const wp::Engine& engine() const { return service->engine(); }
 
   wp::util::Result<wp::Ticket> Submit(
-      wp::Request request, std::shared_ptr<wp::MemberSink> sink = nullptr) {
-    return service->Submit(std::move(request), std::move(sink));
+      wp::Request request, std::shared_ptr<wp::MemberStream> stream = nullptr) {
+    return service->Submit(std::move(request), std::move(stream));
   }
 
   wp::ServiceStats stats() const { return service->stats(); }
@@ -168,22 +171,27 @@ whyprov_status whyprov_service_create(const char* program_text,
     CopyError(status, error_message, error_message_size);
     return ToC(status);
   }
-  // The QoS tuning fields are kept for layout compatibility only: the
-  // scheduler has no quantum, budget or rate limit, and its batch escape
-  // is a constant. A caller setting one would silently get a different
-  // policy than it asked for, so a nonzero value fails instead.
+  // These fields are kept for layout compatibility only: the scheduler
+  // has no quantum, budget or rate limit, its batch escape is a
+  // constant, deadlines are per request, the snapshot GC has no policy
+  // and every fsync'd WAL append syncs itself. A caller setting one
+  // would silently get a different behaviour than it asked for, so a
+  // nonzero value fails instead.
   const std::pair<const char*, bool> inert_fields[] = {
       {"qos_quantum", options->qos_quantum != 0},
       {"qos_batch_escape", options->qos_batch_escape != 0},
       {"qos_tenant_cost_budget", options->qos_tenant_cost_budget != 0},
       {"qos_refill_per_second", options->qos_refill_per_second != 0},
       {"qos_burst", options->qos_burst != 0},
+      {"default_deadline_seconds", options->default_deadline_seconds != 0},
+      {"max_snapshot_lag", options->max_snapshot_lag != 0},
+      {"snapshot_alarm_bytes", options->snapshot_alarm_bytes != 0},
+      {"wal_group_commit", options->wal_group_commit != 0},
   };
   for (const auto& [field, set] : inert_fields) {
     if (!set) continue;
     const auto status = wp::util::Status::InvalidArgument(
-        std::string(field) +
-        " is not supported: the QoS scheduler has no tuning (leave it 0)");
+        std::string(field) + " is not supported (leave it 0)");
     CopyError(status, error_message, error_message_size);
     return ToC(status);
   }
@@ -200,8 +208,6 @@ whyprov_status whyprov_service_create(const char* program_text,
   if (options->plan_cache_capacity > 0) {
     engine_options.plan_cache_capacity = options->plan_cache_capacity;
   }
-  engine_options.max_snapshot_lag = options->max_snapshot_lag;
-  engine_options.snapshot_alarm_bytes = options->snapshot_alarm_bytes;
   if (options->solver_backend != nullptr && options->solver_backend[0]) {
     engine_options.solver_backend = options->solver_backend;
   }
@@ -212,7 +218,6 @@ whyprov_status whyprov_service_create(const char* program_text,
       engine_options.checkpoint_interval = options->checkpoint_interval;
     }
   }
-  engine_options.wal_group_commit = options->wal_group_commit != 0;
   switch (options->plan_simplify) {
     case WHYPROV_SIMPLIFY_OFF:
       engine_options.plan_simplify = wp::sat::SimplifyMode::kOff;
@@ -231,8 +236,6 @@ whyprov_status whyprov_service_create(const char* program_text,
   if (options->queue_capacity > 0) {
     service_options.queue_capacity = options->queue_capacity;
   }
-  service_options.default_deadline_seconds =
-      options->default_deadline_seconds;
   // Zero-initialised options mean "fair queueing on" (invariant:
   // default-class traffic then behaves exactly like the pre-QoS FIFO).
   service_options.fair_queueing = options->qos_disable == 0;
@@ -283,8 +286,6 @@ void whyprov_service_stats(const whyprov_service* service,
   out_stats->model_version = stats.model_version;
   out_stats->retained_snapshots = stats.retained_snapshots;
   out_stats->retained_snapshot_bytes = stats.retained_snapshot_bytes;
-  out_stats->snapshot_evictions = stats.snapshot_evictions;
-  out_stats->snapshot_alarm = stats.snapshot_alarm ? 1 : 0;
   out_stats->version_skew = 0;
   out_stats->num_shards = 1;
   out_stats->wal_appends = stats.wal_appends;
@@ -301,6 +302,7 @@ size_t whyprov_service_tenant_stats(const whyprov_service* service,
                                     whyprov_tenant_stats* out_rows,
                                     size_t capacity) {
   if (service == nullptr) return 0;
+  if (out_rows == nullptr) capacity = 0;
   const wp::ServiceStats stats = service->stats();
   const std::size_t copied = std::min(capacity, stats.tenants.size());
   for (std::size_t i = 0; i < copied; ++i) {

@@ -75,17 +75,21 @@ typedef struct whyprov_service whyprov_service; /* opaque */
 typedef struct whyprov_ticket whyprov_ticket;   /* opaque */
 
 /* Construction knobs; zero-initialise with whyprov_options_init, then
- * override fields. Zero means "the engine/service default" throughout. */
+ * override fields. Zero means "the engine/service default" throughout.
+ * Fields marked "must be 0" are kept for layout compatibility only: any
+ * nonzero value fails create with WHYPROV_INVALID_ARGUMENT naming the
+ * field. */
 typedef struct whyprov_options {
   size_t num_threads;        /* worker threads; 0 = one per hw thread */
   size_t queue_capacity;     /* admission bound; 0 = default (256) */
-  double default_deadline_seconds; /* applied to deadline-less requests */
+  double default_deadline_seconds; /* must be 0 (deadlines are per
+                                    * request) */
   size_t num_shards;         /* 0 or 1; >= 2 fails create with
                               * WHYPROV_INVALID_ARGUMENT (kept for layout
                               * compatibility) */
   size_t plan_cache_capacity;     /* 0 = engine default (64) */
-  size_t max_snapshot_lag;        /* snapshot GC knob; 0 = never evict */
-  size_t snapshot_alarm_bytes;    /* retained-bytes alarm; 0 = off */
+  size_t max_snapshot_lag;        /* must be 0 */
+  size_t snapshot_alarm_bytes;    /* must be 0 */
   const char* solver_backend;     /* "cdcl", "dpll", ...; NULL = default */
   /* Durability (docs/STORAGE_FORMAT.md): directory for the write-ahead
    * delta log + snapshot checkpoints. NULL/empty = memory-only. When
@@ -99,15 +103,15 @@ typedef struct whyprov_options {
    * queueing on", which behaves exactly like the pre-QoS FIFO for
    * default-class requests). Fair queueing is two lanes plus per-tenant
    * round robin, with nothing to tune: the five fields after qos_disable
-   * are kept for layout compatibility and must be 0 — any nonzero value
-   * fails create with WHYPROV_INVALID_ARGUMENT naming the field. */
+   * must be 0. */
   int qos_disable;           /* 1 = plain FIFO scheduling, no fair queueing */
   double qos_quantum;        /* must be 0 */
   size_t qos_batch_escape;   /* must be 0 (the escape is a constant 8) */
   double qos_tenant_cost_budget; /* must be 0 */
   double qos_refill_per_second;  /* must be 0 */
   double qos_burst;          /* must be 0 */
-  int wal_group_commit;      /* 1 = coalesce WAL fsyncs across queued deltas */
+  int wal_group_commit;      /* must be 0 (wal_fsync is one fsync per
+                              * append) */
   /* Plan-time CNF inprocessing (EngineOptions::plan_simplify): one of
    * the WHYPROV_SIMPLIFY_* values. 0 keeps the engine default (fast);
    * any other value fails create with WHYPROV_INVALID_ARGUMENT. */
@@ -155,8 +159,8 @@ typedef struct whyprov_stats {
   uint64_t model_version;
   size_t retained_snapshots;
   size_t retained_snapshot_bytes;
-  uint64_t snapshot_evictions; /* requests failed by the GC policy */
-  int snapshot_alarm;          /* 1 while retained bytes exceed the alarm */
+  uint64_t snapshot_evictions; /* always 0; kept for layout compatibility */
+  int snapshot_alarm;          /* always 0; kept for layout compatibility */
   uint64_t version_skew;       /* always 0; kept for layout compatibility */
   size_t num_shards;           /* always 1; kept for layout compatibility */
   /* Durability tier counters (all zero when data_dir was not set). */
@@ -176,8 +180,11 @@ void whyprov_service_stats(const whyprov_service* service,
                            whyprov_stats* out_stats);
 
 /* One per-tenant/per-lane observability row (see whyprov::qos::
- * TenantStats). Tenant names longer than the buffer are truncated with a
- * NUL kept. */
+ * TenantStats). A submit's tenant name is at most 63 bytes (a longer one
+ * fails with WHYPROV_INVALID_ARGUMENT), so it fits the buffer with its
+ * NUL. The service keeps rows for at most 256 named tenants: every
+ * tenant first seen after that is counted in the row of the reserved
+ * tenant "(overflow)", which a submit may not name itself. */
 typedef struct whyprov_tenant_stats {
   char tenant[64];           /* "" is the shared default tenant */
   int qos_class;             /* whyprov_qos_class of this row */
@@ -192,9 +199,9 @@ typedef struct whyprov_tenant_stats {
 
 /* Copies up to `capacity` per-tenant rows (sorted by tenant, then lane)
  * into `out_rows` and returns the TOTAL number of rows available — call
- * with capacity 0 to size a buffer, or with a fixed buffer and treat the
- * return value as the row count when it fits. One registry snapshot per
- * call. */
+ * with capacity 0 (or NULL `out_rows`) to size a buffer, or with a fixed
+ * buffer and treat the return value as the row count when it fits. One
+ * registry snapshot per call. */
 size_t whyprov_service_tenant_stats(const whyprov_service* service,
                                     whyprov_tenant_stats* out_rows,
                                     size_t capacity);
@@ -258,8 +265,9 @@ whyprov_status whyprov_submit_delta(whyprov_service* service,
  * Each mirrors its base submit with an explicit QoS identity: the lane
  * (`qos_class`, one of whyprov_qos_class — anything else is
  * WHYPROV_INVALID_ARGUMENT) and the tenant name (`tenant`; NULL or ""
- * is the shared default tenant). The base submits are exactly the
- * `_qos` variants with (WHYPROV_QOS_INTERACTIVE, NULL).
+ * is the shared default tenant; a name over 63 bytes, or the reserved
+ * "(overflow)", is WHYPROV_INVALID_ARGUMENT). The base submits are
+ * exactly the `_qos` variants with (WHYPROV_QOS_INTERACTIVE, NULL).
  */
 
 whyprov_status whyprov_submit_enumerate_qos(

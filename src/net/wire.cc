@@ -36,7 +36,7 @@ util::Status WriteFrame(util::Socket& socket, std::uint8_t type,
 }
 
 util::Status ReadFrame(util::Socket& socket, std::uint8_t* type,
-                       std::string* body, std::uint32_t max_frame_bytes) {
+                       std::string* body) {
   std::uint8_t header[4];
   if (auto status = socket.RecvAll(header, sizeof(header)); !status.ok()) {
     return status;  // kNotFound = clean EOF between frames
@@ -46,10 +46,10 @@ util::Status ReadFrame(util::Socket& socket, std::uint8_t* type,
     length |= static_cast<std::uint32_t>(header[i]) << shift;
   }
   if (length == 0) return Malformed("zero-length frame");
-  if (length > max_frame_bytes) {
+  if (length > kMaxFrameBytes) {
     return util::Status::InvalidArgument(
         "frame length " + std::to_string(length) + " exceeds the cap of " +
-        std::to_string(max_frame_bytes) + " bytes");
+        std::to_string(kMaxFrameBytes) + " bytes");
   }
   std::string payload(length, '\0');
   if (auto status = socket.RecvAll(payload.data(), payload.size());

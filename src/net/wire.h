@@ -66,6 +66,15 @@ inline constexpr std::uint32_t kMaxFrameBytes = 16u * 1024 * 1024;
 /// off; a larger value is answered with an INVALID_ARGUMENT final frame.
 inline constexpr std::uint32_t kMaxBatchSize = 1024;
 
+/// Members per kFrameMembers batch when a streaming enumeration's
+/// `batch_size` is 0.
+inline constexpr std::uint32_t kDefaultBatchSize = 8;
+
+/// In-flight tickets one server connection may hold (queued + being
+/// served); the server's reader stops parsing past it until responses
+/// drain.
+inline constexpr std::size_t kMaxSessionTickets = 64;
+
 // --- low-level primitives --------------------------------------------------
 
 // The little-endian encode/decode primitives live in
@@ -80,11 +89,10 @@ util::Status WriteFrame(util::Socket& socket, std::uint8_t type,
                         std::string_view body);
 
 /// Reads one framed message. kNotFound = clean EOF at a frame boundary
-/// (the peer hung up); kInvalidArgument = oversized length field;
-/// kUnknown = mid-frame EOF or socket error.
+/// (the peer hung up); kInvalidArgument = a length field of zero or over
+/// kMaxFrameBytes; kUnknown = mid-frame EOF or socket error.
 util::Status ReadFrame(util::Socket& socket, std::uint8_t* type,
-                       std::string* body,
-                       std::uint32_t max_frame_bytes = kMaxFrameBytes);
+                       std::string* body);
 
 // --- request frames --------------------------------------------------------
 

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 
 namespace whyprov::qos {
 
@@ -23,6 +24,16 @@ enum class QosClass : std::uint8_t {
 
 /// Number of lanes (for per-lane arrays).
 inline constexpr std::size_t kNumLanes = 2;
+
+/// Longest tenant name a request may carry; Service::Submit refuses a
+/// longer one with kInvalidArgument. It fits the C ABI's
+/// `whyprov_tenant_stats.tenant` buffer with its NUL.
+inline constexpr std::size_t kMaxTenantBytes = 63;
+
+/// The reserved tenant name of the registry's overflow row, which counts
+/// every tenant name that arrived after the registry was full. Submit
+/// refuses it as a request's tenant.
+inline constexpr std::string_view kOverflowTenant = "(overflow)";
 
 }  // namespace whyprov::qos
 

@@ -1,6 +1,7 @@
 #include "qos/tenant_registry.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace whyprov::qos {
 
@@ -19,7 +20,16 @@ double Percentile(std::vector<double> samples, double q) {
 
 TenantRegistry::Row& TenantRegistry::RowFor(const std::string& tenant,
                                             QosClass lane) {
-  return rows_[tenant][static_cast<std::size_t>(lane)];
+  auto it = rows_.find(tenant);
+  if (it == rows_.end()) {
+    // The overflow row is created by the first name past the cap (Submit
+    // refuses its reserved name), so the map holds kMaxTenants + 1 keys
+    // at most.
+    std::string key =
+        rows_.size() < kMaxTenants ? tenant : std::string(kOverflowTenant);
+    it = rows_.try_emplace(std::move(key)).first;
+  }
+  return it->second[static_cast<std::size_t>(lane)];
 }
 
 void TenantRegistry::RecordQueued(const std::string& tenant,

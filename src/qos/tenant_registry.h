@@ -31,9 +31,15 @@ struct TenantStats {
 /// Exact per-(tenant, lane) serving counters plus a bounded ring of
 /// queue-wait samples for the latency percentiles. All state sits behind
 /// one annotated mutex (the touch per request is a handful of
-/// increments).
+/// increments). Rows are never erased, so the registry keeps at most
+/// kMaxTenants named tenants: a name first seen after that is counted
+/// in the kOverflowTenant row, and every earlier name stays exact.
 class TenantRegistry {
  public:
+  /// Named tenants with their own rows; clients choose names freely, so
+  /// this is what bounds the registry's memory.
+  static constexpr std::size_t kMaxTenants = 256;
+
   /// A request was admitted and is about to be queued. Recorded before
   /// the executor can run (and complete) it, so RecordCompleted always
   /// finds the queue entry it retires.

@@ -13,12 +13,12 @@ namespace whyprov {
 namespace dl = whyprov::datalog;
 
 /// The shared per-request state behind a `Ticket`: the request itself,
-/// the streaming sink, the cancellation source whose token the execution
+/// the member stream, the cancellation source whose token the execution
 /// polls, the queue-wait clock, and the completion slot.
 struct Ticket::State {
   std::uint64_t id = 0;
   Request request;
-  std::shared_ptr<MemberSink> sink;
+  std::shared_ptr<MemberStream> stream;
   util::CancellationSource cancel;
   util::Timer submit_timer;  ///< starts at admission; measures queue wait
 
@@ -98,7 +98,7 @@ void Ticket::Cancel() {
   shared_->cancel.Cancel();
   // A producer blocked on a full stream polls no token; wake it so the
   // enumeration observes the cancel promptly.
-  if (shared_->sink) shared_->sink->OnCancel();
+  if (shared_->stream) shared_->stream->Close();
 }
 
 const Response& Ticket::Wait() const {
@@ -220,7 +220,6 @@ void Service::OpenDurability() {
   storage::DurabilityOptions durability;
   durability.data_dir = engine_options.data_dir;
   durability.wal_fsync = engine_options.wal_fsync;
-  durability.wal_group_commit = engine_options.wal_group_commit;
   durability.checkpoint_interval = engine_options.checkpoint_interval;
   util::Result<std::unique_ptr<storage::DurableStore>> opened =
       storage::DurableStore::Open(durability);
@@ -229,8 +228,6 @@ void Service::OpenDurability() {
     return;
   }
   store_ = std::move(opened).value();
-  wal_group_commit_ =
-      engine_options.wal_fsync && engine_options.wal_group_commit;
 
   // Recovery: restore the checkpoint when one decodes against this
   // stack's parsed program/database, then replay the WAL tail through
@@ -268,36 +265,39 @@ Service::~Service() {
 }
 
 util::Result<Ticket> Service::Submit(Request request,
-                                     std::shared_ptr<MemberSink> sink) {
+                                     std::shared_ptr<MemberStream> stream) {
+  if (request.tenant.size() > qos::kMaxTenantBytes) {
+    return util::Status::InvalidArgument(
+        "tenant name of " + std::to_string(request.tenant.size()) +
+        " bytes exceeds the limit of " +
+        std::to_string(qos::kMaxTenantBytes));
+  }
+  if (request.tenant == qos::kOverflowTenant) {
+    return util::Status::InvalidArgument(
+        "tenant name '" + request.tenant + "' is reserved");
+  }
   auto state = std::make_shared<Ticket::State>();
   state->request = std::move(request);
-  state->sink = std::move(sink);
-  const double deadline = state->request.deadline_seconds > 0
-                              ? state->request.deadline_seconds
-                              : options_.default_deadline_seconds;
+  state->stream = std::move(stream);
   // The deadline clock starts at admission: queue wait counts against it,
   // exactly like a client-side deadline would.
-  if (deadline > 0) state->cancel.SetTimeout(deadline);
+  if (state->request.deadline_seconds > 0) {
+    state->cancel.SetTimeout(state->request.deadline_seconds);
+  }
 
   const qos::QosClass lane = state->request.qos_class;
   const std::string& tenant = state->request.tenant;
 
-  // Count the submission (and stamp the id), the tenant's queue entry,
-  // and the group-commit backlog before the task can run: a worker may
-  // finish it before TrySubmit returns, and its Finish must find every
-  // counter it decrements already raised. Roll all three back on
-  // rejection.
+  // Count the submission (and stamp the id) and the tenant's queue entry
+  // before the task can run: a worker may finish it before TrySubmit
+  // returns, and its Finish must find every counter it decrements
+  // already raised. Roll both back on rejection.
   {
     const util::MutexLock lock(stats_mutex_);
     ++stats_.submitted;
     state->id = ++next_id_;
   }
   tenants_.RecordQueued(tenant, lane);
-  const bool group_commit_delta =
-      wal_group_commit_ && KindOf(state->request) == RequestKind::kApplyDelta;
-  if (group_commit_delta) {
-    delta_backlog_.fetch_add(1, std::memory_order_relaxed);
-  }
   util::TaskTag tag;
   tag.lane = static_cast<std::uint8_t>(lane);
   tag.tenant = tenant;
@@ -308,9 +308,6 @@ util::Result<Ticket> Service::Submit(Request request,
       const util::MutexLock lock(stats_mutex_);
       --stats_.submitted;
       ++stats_.rejected;
-    }
-    if (group_commit_delta) {
-      delta_backlog_.fetch_sub(1, std::memory_order_relaxed);
     }
     tenants_.RecordQueueRefused(tenant, lane);
     return admitted;
@@ -348,24 +345,13 @@ void Service::ExecuteEnumerate(const std::shared_ptr<Ticket::State>& state,
     return;
   }
   response.model_version = enumeration.value().model_version();
-  // Snapshot GC: a slow (typically streaming) consumer keeps this
-  // enumeration's snapshot pinned while deltas stack newer versions on
-  // top. With a lag bound configured, cut the pin once the gap exceeds
-  // it instead of retaining an unbounded COW chain.
-  const std::size_t max_lag = engine_.options().max_snapshot_lag;
-  bool sink_stopped = false;
-  bool evicted = false;
+  bool stream_closed = false;
   for (std::optional<std::vector<dl::Fact>> member =
            enumeration.value().Next();
        member.has_value(); member = enumeration.value().Next()) {
-    if (max_lag > 0 &&
-        engine_.model_version() > response.model_version + max_lag) {
-      evicted = true;
-      break;
-    }
-    if (state->sink != nullptr) {
-      if (!state->sink->OnMember(std::move(*member))) {
-        sink_stopped = true;
+    if (state->stream != nullptr) {
+      if (!state->stream->OnMember(std::move(*member))) {
+        stream_closed = true;
         break;
       }
     } else {
@@ -377,18 +363,11 @@ void Service::ExecuteEnumerate(const std::shared_ptr<Ticket::State>& state,
   response.incomplete = enumeration.value().incomplete();
   response.hit_member_cap = enumeration.value().hit_member_cap();
   response.status = enumeration.value().interruption_status();
-  if (response.status.ok() && evicted) {
-    response.status = util::Status::ResourceExhausted(
-        "snapshot GC: the request's pinned model version trailed the "
-        "engine by more than max_snapshot_lag deltas");
-    const util::MutexLock lock(stats_mutex_);
-    ++stats_.snapshot_evictions;
-  }
-  if (response.status.ok() && sink_stopped) {
+  if (response.status.ok() && stream_closed) {
     // The consumer closed its stream: the client stopped wanting the
     // answer, which is a cancellation in all but the signal path.
     response.status =
-        util::Status::Cancelled("the member sink stopped the enumeration");
+        util::Status::Cancelled("the member stream stopped the enumeration");
   }
 }
 
@@ -540,13 +519,6 @@ void Service::Finish(const std::shared_ptr<Ticket::State>& state,
       response.status.code() == util::StatusCode::kDeadlineExceeded;
   tenants_.RecordCompleted(state->request.tenant, state->request.qos_class,
                            cancelled, response.queue_seconds);
-  // Group commit: the delta that empties the backlog closes the burst
-  // and flushes the one coalesced fsync covering all of it.
-  if (wal_group_commit_ &&
-      KindOf(state->request) == RequestKind::kApplyDelta &&
-      delta_backlog_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    (void)store_->SyncWal();
-  }
   {
     const util::MutexLock lock(stats_mutex_);
     ++stats_.completed;
@@ -566,9 +538,9 @@ void Service::Finish(const std::shared_ptr<Ticket::State>& state,
     }
     stats_.members_delivered += response.members_emitted;
   }
-  // Complete the sink *before* publishing the response: a consumer woken
-  // by the ticket must find its stream already terminal.
-  if (state->sink) state->sink->OnComplete(response.status);
+  // Complete the stream *before* publishing the response: a consumer
+  // woken by the ticket must find its stream already terminal.
+  if (state->stream) state->stream->OnComplete(response.status);
   {
     const util::MutexLock lock(state->mutex);
     state->response = std::move(response);
@@ -604,9 +576,6 @@ ServiceStats Service::stats() const {
   const SnapshotStats snapshots = engine_.snapshot_stats();
   snapshot.retained_snapshots = snapshots.retained_snapshots;
   snapshot.retained_snapshot_bytes = snapshots.approx_bytes;
-  const std::size_t alarm_bytes = engine_.options().snapshot_alarm_bytes;
-  snapshot.snapshot_alarm =
-      alarm_bytes > 0 && snapshot.retained_snapshot_bytes > alarm_bytes;
   const double uptime = uptime_.ElapsedSeconds();
   snapshot.queries_per_second =
       uptime > 0 ? static_cast<double>(snapshot.completed) / uptime : 0;

@@ -1,7 +1,6 @@
 #ifndef WHYPROV_SERVICE_SERVICE_H_
 #define WHYPROV_SERVICE_SERVICE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -42,13 +41,13 @@ struct Request {
       op;
   /// Wall-clock budget measured from Submit — queue wait counts, as it
   /// must in a serving system (a client's deadline does not pause while
-  /// the request sits in line). <= 0 means no deadline (the service's
-  /// `default_deadline_seconds` may still apply).
+  /// the request sits in line). <= 0 means no deadline.
   double deadline_seconds = 0;
   /// QoS identity (multi-tenant serving). The defaults — interactive
   /// lane, the "" tenant — are what every pre-QoS caller implicitly
   /// sent, and requests carrying them are scheduled exactly like the
-  /// old FIFO (architecture invariant 6).
+  /// old FIFO (architecture invariant 6). A tenant name is at most
+  /// qos::kMaxTenantBytes long.
   qos::QosClass qos_class = qos::QosClass::kInteractive;
   std::string tenant;
 };
@@ -56,14 +55,15 @@ struct Request {
 /// Outcome of one submitted request, delivered through its `Ticket`.
 /// `status` is Ok, a per-operation failure, or the interruption verdicts:
 /// kCancelled (Ticket::Cancel, or a streaming consumer that closed its
-/// stream), kDeadlineExceeded, kResourceExhausted (only a snapshot-GC
-/// eviction — a full queue fails Submit itself).
+/// stream), kDeadlineExceeded. kResourceExhausted means a backend or an
+/// exhaustive budget gave up, or a delta's WAL record was over its cap;
+/// a full queue fails Submit itself.
 struct Response {
   util::Status status;
   RequestKind kind = RequestKind::kEnumerate;
 
   // Enumerate: the materialised members — empty when the request streamed
-  // through a MemberSink (then `members_emitted` still counts them).
+  // through a MemberStream (then `members_emitted` still counts them).
   std::vector<std::vector<datalog::Fact>> members;
   std::size_t members_emitted = 0;
   bool exhausted = false;
@@ -82,45 +82,28 @@ struct Response {
   std::uint64_t model_version = 0;
 };
 
-/// Streaming consumer of enumeration members: the service calls
-/// `OnMember` once per member, in emission order, from the worker thread
-/// executing the request. Implementations may block — that is the
-/// backpressure mechanism bounding the service's memory — and return
-/// false to stop the enumeration early. `OnComplete` is called exactly
-/// once, after the final member (or failure/interruption); `OnCancel` may
-/// be called from any thread by `Ticket::Cancel` and must unblock a
-/// producer waiting inside `OnMember`.
-class MemberSink {
- public:
-  virtual ~MemberSink() = default;
-
-  /// One member of the family. Return false to stop the enumeration
-  /// (reported as kCancelled).
-  virtual bool OnMember(std::vector<datalog::Fact> member) = 0;
-
-  /// Terminal notification with the request's final status.
-  virtual void OnComplete(const util::Status& status) { (void)status; }
-
-  /// The ticket was cancelled; unblock any producer stuck in OnMember.
-  virtual void OnCancel() {}
-};
-
 /// A bounded member queue bridging the worker (producer) and a consumer
-/// thread: the pull flavour of `MemberSink`. Holding at most `capacity`
-/// members, `OnMember` blocks once the buffer is full until the consumer
-/// pops — so a slow reader stalls the SAT enumeration instead of
-/// ballooning a result vector; memory stays O(capacity), never O(family).
-/// `Pop` blocks until a member arrives or the enumeration finishes;
-/// `Close` abandons the stream from the consumer side (the producer's
-/// next OnMember returns false and the request ends kCancelled).
-class MemberStream final : public MemberSink {
+/// thread. The service calls `OnMember` once per member, in emission
+/// order, from the worker executing the request; holding at most
+/// `capacity` members, it blocks once the buffer is full until the
+/// consumer pops — so a slow reader stalls the SAT enumeration instead
+/// of ballooning a result vector; memory stays O(capacity), never
+/// O(family). `OnComplete` runs exactly once, after the final member
+/// (or failure/interruption). `Pop` blocks until a member arrives or the
+/// enumeration finishes; `Close` abandons the stream from the consumer
+/// side (the producer's next OnMember returns false and the request
+/// ends kCancelled), and `Ticket::Cancel` calls it too.
+class MemberStream {
  public:
   explicit MemberStream(std::size_t capacity)
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
-  bool OnMember(std::vector<datalog::Fact> member) override;
-  void OnComplete(const util::Status& status) override;
-  void OnCancel() override { Close(); }
+  /// Producer side: one member of the family. Returns false once the
+  /// stream was closed (the enumeration stops, reported as kCancelled).
+  bool OnMember(std::vector<datalog::Fact> member);
+
+  /// Producer side: terminal notification with the request's status.
+  void OnComplete(const util::Status& status);
 
   /// The next member, or nullopt once the stream finished (drained after
   /// completion) or was closed. Single consumer.
@@ -243,8 +226,6 @@ struct ServiceOptions {
   /// Admitted-but-unstarted requests the service will hold; Submit
   /// refuses with kResourceExhausted beyond it (admission control).
   std::size_t queue_capacity = 256;
-  /// Deadline applied to requests that carry none (<= 0 = none).
-  double default_deadline_seconds = 0;
   /// Schedule through qos::FairScheduler (two lanes, per-tenant round
   /// robin) instead of the plain FIFO queue. Default-class traffic pops
   /// in the same order either way (architecture invariant 6).
@@ -265,20 +246,13 @@ struct ServiceStats {
   std::size_t in_flight = 0;     ///< executing right now
   double queries_per_second = 0;  ///< completed / seconds since start
   std::uint64_t model_version = 0;  ///< version the engine serves now
-  /// Snapshot retention (ROADMAP "Snapshot GC & memory observability"):
-  /// live model versions — the published one plus those pinned by
-  /// in-flight tickets — and their approximate bytes from the COW chunk
-  /// stats.
+  /// Snapshot retention: live model versions — the published one plus
+  /// those pinned by in-flight tickets — and their approximate bytes
+  /// from the COW chunk stats. An unpinned version is freed when the
+  /// next delta publishes, so at most one version per executing request
+  /// plus the published one is retained.
   std::size_t retained_snapshots = 0;
   std::size_t retained_snapshot_bytes = 0;
-  /// Requests failed by the snapshot GC policy because their pinned
-  /// version trailed the engine by more than
-  /// EngineOptions::max_snapshot_lag deltas (they end kResourceExhausted).
-  std::uint64_t snapshot_evictions = 0;
-  /// True while retained_snapshot_bytes exceeds the engine's
-  /// EngineOptions::snapshot_alarm_bytes threshold. Always false when
-  /// the threshold is 0.
-  bool snapshot_alarm = false;
   /// Durability tier (ROADMAP "Durability"): activity of the stack's
   /// write-ahead delta log and snapshot checkpoints. All zero when the
   /// engine options carry no data_dir (memory-only serving).
@@ -294,7 +268,9 @@ struct ServiceStats {
   std::uint64_t simplify_clauses_removed = 0;
   std::uint64_t simplify_micros = 0;
   /// Multi-tenant QoS: one row per (tenant, lane) that ever submitted,
-  /// sorted by tenant then lane.
+  /// sorted by tenant then lane. Tenants first seen after
+  /// qos::TenantRegistry::kMaxTenants others share the
+  /// qos::kOverflowTenant row.
   std::vector<qos::TenantStats> tenants;
 };
 
@@ -309,7 +285,7 @@ struct ServiceStats {
 ///     of buffering unboundedly.
 ///   * A fixed worker pool (`util::Executor`) executes requests; results
 ///     arrive through `Ticket::Wait` or, for enumerations, stream
-///     member-by-member through a `MemberSink`/`MemberStream` with
+///     member-by-member through a `MemberStream` with
 ///     backpressure — bounded memory regardless of family size.
 ///   * Every request carries a deadline (measured from Submit, queue wait
 ///     included) and a cancellation token; both are polled between
@@ -332,11 +308,13 @@ class Service {
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  /// Admits `request`; `sink` (optional) streams Enumerate members and is
-  /// ignored by the other kinds. Refuses with kResourceExhausted when the
-  /// queue is full — the client should back off and retry.
+  /// Admits `request`; `stream` (optional) receives Enumerate members and
+  /// is ignored by the other kinds. Refuses with kResourceExhausted when
+  /// the queue is full — the client should back off and retry — and with
+  /// kInvalidArgument when the tenant name is longer than
+  /// qos::kMaxTenantBytes or is qos::kOverflowTenant.
   util::Result<Ticket> Submit(Request request,
-                              std::shared_ptr<MemberSink> sink = nullptr);
+                              std::shared_ptr<MemberStream> stream = nullptr);
 
   /// Convenience: submit an enumeration streaming into a fresh bounded
   /// `MemberStream` of `stream_capacity` members; returns the ticket and
@@ -403,13 +381,6 @@ class Service {
   /// so workers never outlive it.
   std::unique_ptr<storage::DurableStore> store_;
   util::Status durability_status_;  ///< set once in OpenDurability
-  /// Group commit is active (wal_fsync + wal_group_commit, store open):
-  /// WAL appends defer their fsync and the last pending delta of a
-  /// burst flushes it (see delta_backlog_).
-  bool wal_group_commit_ = false;
-  /// Admitted-but-unfinished delta requests; the finish that drops it
-  /// to zero is the burst boundary that syncs the WAL.
-  std::atomic<std::uint64_t> delta_backlog_{0};
   ServiceOptions options_;
   util::Timer uptime_;  ///< denominator of queries_per_second
   mutable util::Mutex stats_mutex_;

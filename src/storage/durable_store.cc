@@ -39,13 +39,11 @@ util::Result<std::unique_ptr<DurableStore>> DurableStore::Open(
     return status;
   }
   util::Result<WriteAheadLog> wal =
-      WriteAheadLog::Open(options.data_dir + "/delta.wal", options.wal_fsync,
-                          options.wal_group_commit);
+      WriteAheadLog::Open(options.data_dir + "/delta.wal", options.wal_fsync);
   if (!wal.ok()) return wal.status();
 
   auto store =
       std::unique_ptr<DurableStore>(new DurableStore(std::move(wal).value()));
-  store->group_commit_ = options.wal_fsync && options.wal_group_commit;
   store->checkpoint_path_ = options.data_dir + "/model.ckpt";
   store->checkpoint_interval_ = options.checkpoint_interval;
   util::Result<std::string> image = ReadCheckpointFile(store->checkpoint_path_);
@@ -100,12 +98,6 @@ util::Status DurableStore::AppendDelta(
   wal_appends_.fetch_add(1, std::memory_order_relaxed);
   wal_bytes_.fetch_add(written.value(), std::memory_order_relaxed);
   return util::Status::Ok();
-}
-
-util::Status DurableStore::SyncWal() {
-  if (!group_commit_) return util::Status::Ok();
-  const util::MutexLock order(order_mutex_);
-  return wal_.Sync();
 }
 
 bool DurableStore::ShouldCheckpoint() const {

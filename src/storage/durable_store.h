@@ -39,12 +39,6 @@ struct DurabilityOptions {
   /// fsync the WAL on every append: durable against power loss, not
   /// just process crash, at a large per-delta cost.
   bool wal_fsync = false;
-  /// Group commit (with wal_fsync only): appends defer the fsync and
-  /// the owner calls SyncWal() when its delta lane drains, so a burst
-  /// of N deltas pays one fsync instead of N. Relaxation: a delta in
-  /// the middle of a burst is acknowledged applied-but-not-yet-synced;
-  /// it becomes power-loss durable at the burst boundary.
-  bool wal_group_commit = false;
   /// Committed WAL records between checkpoints; 0 = never checkpoint
   /// (recovery replays the full log).
   std::size_t checkpoint_interval = 32;
@@ -97,10 +91,6 @@ class DurableStore {
   util::Status AppendDelta(const std::vector<std::string>& added,
                            const std::vector<std::string>& removed);
 
-  /// Flushes deferred group-commit appends (takes order_mutex() itself;
-  /// the no-op fast path outside group-commit mode skips the lock).
-  util::Status SyncWal();
-
   /// True iff enough records accumulated since the last checkpoint
   /// (caller holds order_mutex()).
   bool ShouldCheckpoint() const;
@@ -121,7 +111,6 @@ class DurableStore {
 
   util::Mutex order_mutex_;
   WriteAheadLog wal_;
-  bool group_commit_ = false;
   std::string checkpoint_path_;
   std::string checkpoint_image_;  ///< raw image loaded at Open; "" = none
   std::uint64_t folded_sequence_ = 0;

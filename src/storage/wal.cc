@@ -113,15 +113,13 @@ WalReplay ReplayWalBuffer(std::string_view records) {
 }
 
 util::Result<WriteAheadLog> WriteAheadLog::Open(const std::string& path,
-                                                bool fsync_each,
-                                                bool group_commit) {
+                                                bool fsync_each) {
   const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   if (fd < 0) return Errno("cannot open WAL '" + path + "'");
 
   WriteAheadLog log;
   log.fd_ = fd;
   log.fsync_each_ = fsync_each;
-  log.group_commit_ = fsync_each && group_commit;
 
   util::Result<std::string> contents = ReadWholeFile(fd, path);
   if (!contents.ok()) return contents.status();
@@ -171,8 +169,6 @@ util::Result<WriteAheadLog> WriteAheadLog::Open(const std::string& path,
 WriteAheadLog::WriteAheadLog(WriteAheadLog&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       fsync_each_(other.fsync_each_),
-      group_commit_(other.group_commit_),
-      dirty_(other.dirty_),
       last_sequence_(other.last_sequence_),
       truncated_torn_tail_(other.truncated_torn_tail_),
       recovered_(std::move(other.recovered_)) {}
@@ -182,8 +178,6 @@ WriteAheadLog& WriteAheadLog::operator=(WriteAheadLog&& other) noexcept {
     if (fd_ >= 0) ::close(fd_);
     fd_ = std::exchange(other.fd_, -1);
     fsync_each_ = other.fsync_each_;
-    group_commit_ = other.group_commit_;
-    dirty_ = other.dirty_;
     last_sequence_ = other.last_sequence_;
     truncated_torn_tail_ = other.truncated_torn_tail_;
     recovered_ = std::move(other.recovered_);
@@ -216,23 +210,9 @@ util::Result<std::size_t> WriteAheadLog::Append(
   if (util::Status status = WriteFully(fd_, framed); !status.ok()) {
     return status;
   }
-  if (fsync_each_) {
-    if (group_commit_) {
-      // Deferred: one Sync() at the burst boundary covers this record.
-      dirty_ = true;
-    } else if (::fsync(fd_) != 0) {
-      return Errno("WAL fsync failed");
-    }
-  }
+  if (fsync_each_ && ::fsync(fd_) != 0) return Errno("WAL fsync failed");
   ++last_sequence_;
   return framed.size();
-}
-
-util::Status WriteAheadLog::Sync() {
-  if (!dirty_) return util::Status::Ok();
-  if (::fsync(fd_) != 0) return Errno("WAL fsync failed");
-  dirty_ = false;
-  return util::Status::Ok();
 }
 
 }  // namespace whyprov::storage

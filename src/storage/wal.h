@@ -90,13 +90,9 @@ class WriteAheadLog {
   /// Opens (creating if absent) the log at `path`, validates the header,
   /// scans the records, and truncates a torn tail. `fsync_each` makes
   /// every Append fsync before returning (durable against power loss,
-  /// not just process crash). With `group_commit` too, Append only
-  /// marks the log dirty and the owner coalesces the fsyncs by calling
-  /// Sync() at burst boundaries — one fsync covers every record
-  /// appended since the last one.
+  /// not just process crash).
   static util::Result<WriteAheadLog> Open(const std::string& path,
-                                          bool fsync_each,
-                                          bool group_commit = false);
+                                          bool fsync_each);
 
   WriteAheadLog(WriteAheadLog&& other) noexcept;
   WriteAheadLog& operator=(WriteAheadLog&& other) noexcept;
@@ -124,22 +120,11 @@ class WriteAheadLog {
   util::Result<std::size_t> Append(const std::vector<std::string>& added,
                                    const std::vector<std::string>& removed);
 
-  /// Flushes deferred group-commit appends to disk: fsyncs iff records
-  /// were appended since the last sync. A no-op unless the log was
-  /// opened with both fsync and group commit. Not thread-safe (same
-  /// owner lock as Append).
-  util::Status Sync();
-
-  /// True iff appended records await a Sync() (group-commit mode only).
-  bool dirty() const { return dirty_; }
-
  private:
   WriteAheadLog() = default;
 
   int fd_ = -1;
   bool fsync_each_ = false;
-  bool group_commit_ = false;
-  bool dirty_ = false;
   std::uint64_t last_sequence_ = 0;
   bool truncated_torn_tail_ = false;
   std::vector<WalRecord> recovered_;

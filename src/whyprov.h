@@ -15,7 +15,7 @@
 /// See README.md for a quickstart and the backend-registration recipe.
 
 // The serving front door: Service (submission-based async API with
-// admission control), Ticket, streaming MemberSink/MemberStream, and the
+// admission control), Ticket, the streaming MemberStream, and the
 // unified Request/Response pair with deadlines and cancellation.
 #include "service/service.h"
 

@@ -438,7 +438,7 @@ TEST(CApiEnumInputTest, TreeClassOutsideTheEnumFailsSubmit) {
   EXPECT_EQ(stats.submitted, 4u);
 }
 
-// --- QoS options: fair queueing has one switch, nothing to tune ----------
+// --- layout-only options: fair queueing has one switch, nothing to tune --
 
 /// Expects create to refuse `options` with INVALID_ARGUMENT naming `field`.
 void ExpectCreateRefuses(const whyprov_options& options, const char* field) {
@@ -473,6 +473,18 @@ TEST(CApiQosFieldsTest, NonzeroInertTuningFieldFailsCreate) {
   whyprov_options_init(&options);
   options.qos_burst = 0.5;
   ExpectCreateRefuses(options, "qos_burst");
+  whyprov_options_init(&options);
+  options.default_deadline_seconds = 1.0;
+  ExpectCreateRefuses(options, "default_deadline_seconds");
+  whyprov_options_init(&options);
+  options.max_snapshot_lag = 1;
+  ExpectCreateRefuses(options, "max_snapshot_lag");
+  whyprov_options_init(&options);
+  options.snapshot_alarm_bytes = 1;
+  ExpectCreateRefuses(options, "snapshot_alarm_bytes");
+  whyprov_options_init(&options);
+  options.wal_group_commit = 1;
+  ExpectCreateRefuses(options, "wal_group_commit");
 }
 
 TEST(CApiStatsTest, CountersTrackTheServedRequests) {
@@ -506,10 +518,12 @@ TEST(CApiStatsTest, TenantStatsSizeQueryReturnsTheRowCount) {
     whyprov_ticket_destroy(ticket);
   }
 
-  // One row per (tenant, lane) used; capacity 0 sizes the buffer.
+  // One row per (tenant, lane) used; capacity 0 sizes the buffer, and so
+  // does a NULL buffer whatever capacity comes with it.
   const std::size_t rows =
       whyprov_service_tenant_stats(handle.service, nullptr, 0);
   ASSERT_EQ(rows, 2u);
+  EXPECT_EQ(whyprov_service_tenant_stats(handle.service, nullptr, 8), rows);
   std::vector<whyprov_tenant_stats> buffer(rows);
   ASSERT_EQ(whyprov_service_tenant_stats(handle.service, buffer.data(), rows),
             rows);

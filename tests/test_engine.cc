@@ -287,13 +287,13 @@ TEST(EngineBackendTest, CdclAndDpllAgreeOnAScenarioInstance) {
       scenarios::GraphKind::kSparse, /*num_nodes=*/24, /*num_edges=*/30,
       /*seed=*/20240611);
   EngineOptions cdcl_options;
-  cdcl_options.sampling_seed = 7;
   cdcl_options.solver_backend = "cdcl";
   EngineOptions dpll_options = cdcl_options;
   dpll_options.solver_backend = "dpll";
   const Engine engines[2] = {scenario.MakeEngine(cdcl_options),
                              scenario.MakeEngine(dpll_options)};
-  const auto targets = engines[0].SampleAnswers(3);
+  util::Rng rng(7);
+  const auto targets = engines[0].SampleAnswers(3, rng);
   ASSERT_FALSE(targets.empty());
   for (dl::FactId target : targets) {
     const std::string target_text = engines[0].FactToText(target);
@@ -523,10 +523,10 @@ struct ConcurrencyWorkload {
         scenarios::GraphKind::kSparse, /*num_nodes=*/24, /*num_edges=*/30,
         /*seed=*/20240611);
     EngineOptions options;
-    options.sampling_seed = 7;
     options.plan_cache_capacity = plan_cache_capacity;
     engine.emplace(scenario.MakeEngine(options));
-    targets = engine->SampleAnswers(3);
+    util::Rng rng(7);
+    targets = engine->SampleAnswers(3, rng);
     for (dl::FactId target : targets) {
       EnumerateRequest request;
       request.target = target;

@@ -244,9 +244,7 @@ TEST(IncrementalEvaluatorTest, NonLinearRuleDeltaMatchesRebuild) {
 /// against the original engine.
 void CheckScenarioDeltaEquivalence(
     const scenarios::GeneratedScenario& scenario, std::size_t num_removed) {
-  EngineOptions options;
-  options.sampling_seed = 11;
-  Engine engine = scenario.MakeEngine(options);
+  Engine engine = scenario.MakeEngine();
   const std::map<std::string, int> original = ModelContents(engine);
 
   std::vector<dl::Fact> slice;
@@ -266,14 +264,14 @@ void CheckScenarioDeltaEquivalence(
 
   dl::Database reduced = scenario.database;
   for (const dl::Fact& fact : slice) reduced.Remove(fact);
-  const Engine rebuilt = Engine::FromParts(
-      scenario.program, reduced,
-      engine.answer_predicate(), options);
+  const Engine rebuilt = Engine::FromParts(scenario.program, reduced,
+                                           engine.answer_predicate());
   EXPECT_EQ(ModelContents(engine), ModelContents(rebuilt));
 
   // Families must agree too, not just the models: sample answers from the
   // rebuilt engine and compare exhaustive enumerations by fact text.
-  for (dl::FactId target : rebuilt.SampleAnswers(3)) {
+  util::Rng rng(11);
+  for (dl::FactId target : rebuilt.SampleAnswers(3, rng)) {
     const std::string text = rebuilt.FactToText(target);
     EXPECT_EQ(EnumerateFamily(engine, text), EnumerateFamily(rebuilt, text))
         << scenario.scenario_name << ": families diverge on " << text;

@@ -311,8 +311,7 @@ struct ServedStack {
   explicit ServedStack(const std::string& program,
                        const std::string& database,
                        const std::string& answer = "path",
-                       const whyprov_options* options = nullptr,
-                       ServerOptions server_options = ServerOptions()) {
+                       const whyprov_options* options = nullptr) {
     char error[256] = {0};
     if (whyprov_service_create(program.c_str(), database.c_str(),
                                answer.c_str(), options, &service, error,
@@ -320,7 +319,7 @@ struct ServedStack {
       ADD_FAILURE() << "service create failed: " << error;
       return;
     }
-    server = std::make_unique<Server>(service, server_options);
+    server = std::make_unique<Server>(service);
     const auto started = server->Start(0);
     if (!started.ok()) {
       ADD_FAILURE() << "server start failed: " << started.message();
@@ -583,6 +582,12 @@ TEST(NetServerTest, StatsReplyCarriesTheTenantRows) {
   ServedStack stack(kDiamondProgram, kDiamondDatabase);
   ASSERT_TRUE(stack.ok());
   Client client = MustConnect(stack);
+  // A tenant name over 63 bytes is refused at submission with an
+  // INVALID_ARGUMENT final; it gets no row and the session keeps serving.
+  client.SetQos(WHYPROV_QOS_BATCH, std::string(64, 't'));
+  auto refused = client.Enumerate(kTarget, 1);
+  ASSERT_TRUE(refused.ok()) << refused.status().message();
+  EXPECT_EQ(refused.value().code(), WHYPROV_INVALID_ARGUMENT);
   client.SetQos(WHYPROV_QOS_BATCH, "t");
   auto outcome = client.Enumerate(kTarget, 1);
   ASSERT_TRUE(outcome.ok()) << outcome.status().message();

@@ -1,7 +1,8 @@
 // Tests of the multi-tenant QoS subsystem (src/qos/): per-tenant round
 // robin within a lane (equal shares under saturation, no state kept for
 // idle tenants), the batch lane's anti-starvation escape, exact
-// per-tenant gauges, and the FIFO-equivalence invariant — a scheduler
+// per-tenant gauges under a bounded tenant registry, the tenant-name
+// limit, and the FIFO-equivalence invariant — a scheduler
 // seeing only default tags must pop in exact push order, which is what
 // keeps default-class traffic bit-identical to the pre-QoS service. The
 // CI runs this binary under ThreadSanitizer.
@@ -16,6 +17,7 @@
 
 #include "qos/qos.h"
 #include "qos/scheduler.h"
+#include "qos/tenant_registry.h"
 #include "util/executor.h"
 #include "whyprov.h"
 
@@ -263,6 +265,58 @@ TEST(ServiceQosTest, QueuedGaugeDrainsToZeroAfterFastCompletions) {
     EXPECT_EQ(row.served, kRequests);
   }
   EXPECT_TRUE(found) << "no stats row for tenant 't'";
+}
+
+TEST(ServiceQosTest, TenantNamesPastTheCapFoldIntoTheOverflowRow) {
+  // Clients choose tenant names freely: the registry keeps rows for the
+  // first kMaxTenants names and counts every later one in one overflow
+  // row, so its memory stays bounded.
+  constexpr std::size_t kNames = 10000;
+  constexpr std::size_t kCap = qos::TenantRegistry::kMaxTenants;
+  ServiceOptions options;
+  options.num_threads = 1;
+  Service service(MakeEngine(), options);
+  for (std::size_t i = 0; i < kNames; ++i) {
+    Request request = EnumerateOp("tenant-" + std::to_string(i));
+    std::get<EnumerateRequest>(request.op).max_members = 1;
+    auto ticket = service.Submit(std::move(request));
+    ASSERT_TRUE(ticket.ok()) << ticket.status().message();
+    ASSERT_TRUE(ticket.value().Wait().status.ok());
+  }
+
+  const std::vector<qos::TenantStats> rows = service.stats().tenants;
+  EXPECT_LE(rows.size(), kCap + 1);
+  std::size_t overflow_rows = 0;
+  for (const qos::TenantStats& row : rows) {
+    EXPECT_EQ(row.queued, 0u) << row.tenant;
+    if (row.tenant == qos::kOverflowTenant) {
+      ++overflow_rows;
+      EXPECT_EQ(row.served, kNames - kCap);
+    } else {
+      EXPECT_EQ(row.served, 1u) << row.tenant;  // rows below the cap: exact
+    }
+  }
+  EXPECT_EQ(overflow_rows, 1u);
+}
+
+TEST(ServiceQosTest, OverlongOrReservedTenantNameIsRefused) {
+  Service service(MakeEngine());
+  const std::string longest(qos::kMaxTenantBytes, 't');
+  for (const std::string& tenant :
+       {longest + "t", std::string(qos::kOverflowTenant)}) {
+    auto refused = service.Submit(EnumerateOp(tenant));
+    ASSERT_FALSE(refused.ok()) << tenant;
+    EXPECT_EQ(refused.status().code(), util::StatusCode::kInvalidArgument);
+  }
+  // Refused before anything is counted; the longest allowed name serves.
+  auto served = service.Submit(EnumerateOp(longest));
+  ASSERT_TRUE(served.ok()) << served.status().message();
+  EXPECT_TRUE(served.value().Wait().status.ok());
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.submitted, 1u);
+  EXPECT_EQ(stats.rejected, 0u);
+  ASSERT_EQ(stats.tenants.size(), 1u);
+  EXPECT_EQ(stats.tenants[0].tenant, longest);
 }
 
 }  // namespace

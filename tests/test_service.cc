@@ -6,6 +6,7 @@
 // in-flight requests. The CI runs this binary under ThreadSanitizer.
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <set>
@@ -417,72 +418,6 @@ TEST(ServiceSnapshotTest, InFlightTicketKeepsItsSnapshotAcrossDelta) {
   EXPECT_EQ(after.value().Wait().members_emitted, kDiamondMembers - 2);
 }
 
-TEST(ServiceSnapshotTest, MaxSnapshotLagEvictsTrailingEnumeration) {
-  EngineOptions engine_options;
-  engine_options.max_snapshot_lag = 1;
-  auto engine = Engine::FromText(kDiamondProgram, kDiamondDatabase, "path",
-                                 engine_options);
-  ASSERT_TRUE(engine.ok());
-  ServiceOptions options;
-  options.num_threads = 2;  // the deltas must run beside the enumeration
-  Service service(std::move(engine).value(), options);
-
-  EnumerateRequest enumerate;
-  enumerate.target_text = "path(a, b)";
-  auto streamed = service.Stream(std::move(enumerate), /*stream_capacity=*/1);
-  ASSERT_TRUE(streamed.ok());
-  auto [ticket, stream] = std::move(streamed).value();
-  ASSERT_TRUE(stream->Pop().has_value());  // pinned at version 0
-
-  // Two deltas put the engine two versions ahead — past the lag of 1.
-  for (const char* fact : {"edge(a, m1)", "edge(a, m2)"}) {
-    DeltaRequest delta;
-    delta.removed_fact_texts = {fact};
-    Request request;
-    request.op = std::move(delta);
-    auto delta_ticket = service.Submit(std::move(request));
-    ASSERT_TRUE(delta_ticket.ok());
-    ASSERT_TRUE(delta_ticket.value().Wait().status.ok());
-  }
-
-  // The producer notices the lag between members, so it needs the
-  // consumer to keep popping; the GC then cuts the stream well before
-  // the six members the unevicted enumeration above delivered.
-  std::size_t drained = 1;
-  while (stream->Pop().has_value()) ++drained;
-  EXPECT_LT(drained, kDiamondMembers);
-  const Response& response = ticket.Wait();
-  EXPECT_EQ(response.status.code(), util::StatusCode::kResourceExhausted)
-      << response.status.message();
-  EXPECT_EQ(service.stats().snapshot_evictions, 1u);
-}
-
-TEST(ServiceSnapshotTest, SnapshotAlarmTracksTheRetainedBytesThreshold) {
-  // Threshold 1 byte: the always-retained current model already exceeds
-  // it, so the alarm is up from the start.
-  EngineOptions tight;
-  tight.snapshot_alarm_bytes = 1;
-  auto alarmed = Engine::FromText(kDiamondProgram, kDiamondDatabase, "path",
-                                  tight);
-  ASSERT_TRUE(alarmed.ok());
-  Service alarmed_service(std::move(alarmed).value());
-  ASSERT_GT(alarmed_service.stats().retained_snapshot_bytes, 1u);
-  EXPECT_TRUE(alarmed_service.stats().snapshot_alarm);
-
-  // A generous threshold stays quiet...
-  EngineOptions roomy;
-  roomy.snapshot_alarm_bytes = std::size_t{1} << 40;
-  auto quiet = Engine::FromText(kDiamondProgram, kDiamondDatabase, "path",
-                                roomy);
-  ASSERT_TRUE(quiet.ok());
-  Service quiet_service(std::move(quiet).value());
-  EXPECT_FALSE(quiet_service.stats().snapshot_alarm);
-
-  // ...and 0 (the default) means no alarm at all.
-  Service unset(MakeEngine(kDiamondProgram, kDiamondDatabase, "path"));
-  EXPECT_FALSE(unset.stats().snapshot_alarm);
-}
-
 // --- mixed concurrent workload (the TSan meat) ---------------------------
 
 TEST(ServiceConcurrencyTest, MixedWorkloadFromManySubmittersCompletes) {
@@ -564,9 +499,11 @@ TEST(ServiceStatsTest, ReportsThroughputVersionAndSnapshotRetention) {
   EXPECT_EQ(stats.retained_snapshots, 1u);  // just the published state
   EXPECT_GT(stats.retained_snapshot_bytes, 0u);
 
-  // An in-flight streaming enumeration pins its snapshot across a delta:
+  // An in-flight streaming enumeration pins its snapshot across deltas:
   // the retired version must show up in the retention gauges until the
-  // stream finishes.
+  // stream finishes. With no GC policy, retention is still bounded: each
+  // version nothing pins is freed when the next delta publishes, so the
+  // count stays at two however many deltas land while the stream stalls.
   EnumerateRequest enumerate;
   enumerate.target_text = "path(a, b)";
   auto streamed = service.Stream(std::move(enumerate), /*stream_capacity=*/1);
@@ -574,18 +511,26 @@ TEST(ServiceStatsTest, ReportsThroughputVersionAndSnapshotRetention) {
   auto [ticket, stream] = std::move(streamed).value();
   ASSERT_TRUE(stream->Pop().has_value());  // provably mid-flight
 
-  DeltaRequest delta;
-  delta.removed_fact_texts = {"edge(a, m1)"};
-  Request delta_request;
-  delta_request.op = delta;
-  auto delta_ticket = service.Submit(std::move(delta_request));
-  ASSERT_TRUE(delta_ticket.ok());
-  ASSERT_TRUE(delta_ticket.value().Wait().status.ok());
+  constexpr std::uint64_t kDeltas = 6;
+  for (std::uint64_t version = 1; version <= kDeltas; ++version) {
+    // Remove and restore edge(a, m1) in turn.
+    DeltaRequest delta;
+    if (version % 2 == 1) {
+      delta.removed_fact_texts = {"edge(a, m1)"};
+    } else {
+      delta.added_fact_texts = {"edge(a, m1)"};
+    }
+    Request delta_request;
+    delta_request.op = delta;
+    auto delta_ticket = service.Submit(std::move(delta_request));
+    ASSERT_TRUE(delta_ticket.ok());
+    ASSERT_TRUE(delta_ticket.value().Wait().status.ok());
 
-  stats = service.stats();
-  EXPECT_EQ(stats.model_version, 1u);
-  EXPECT_EQ(stats.retained_snapshots, 2u)
-      << "the pinned v0 snapshot plus the published v1";
+    stats = service.stats();
+    EXPECT_EQ(stats.model_version, version);
+    EXPECT_EQ(stats.retained_snapshots, 2u)
+        << "the pinned v0 snapshot plus the published v" << version;
+  }
 
   while (stream->Pop().has_value()) {
   }

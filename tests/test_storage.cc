@@ -81,26 +81,31 @@ TEST(WalRecordTest, RejectsUnknownTypeAndTruncation) {
 }
 
 TEST(WalFileTest, AppendThenReopenRecoversEveryRecord) {
-  const std::string dir = TempDataDir("wal_reopen");
-  const std::string path = dir + "/delta.wal";
-  {
-    auto wal = storage::WriteAheadLog::Open(path, /*fsync_each=*/false);
-    ASSERT_TRUE(wal.ok()) << wal.status().message();
-    for (int i = 0; i < 3; ++i) {
-      auto written =
-          wal.value().Append({"edge(a" + std::to_string(i) + ", b)"}, {});
-      ASSERT_TRUE(written.ok()) << written.status().message();
-      EXPECT_GT(written.value(), 0u);
+  // Both modes: without fsync and with one fsync per append (wal_fsync).
+  for (const bool fsync_each : {false, true}) {
+    SCOPED_TRACE(fsync_each ? "fsync_each" : "no fsync");
+    const std::string dir =
+        TempDataDir(fsync_each ? "wal_reopen_fsync" : "wal_reopen");
+    const std::string path = dir + "/delta.wal";
+    {
+      auto wal = storage::WriteAheadLog::Open(path, fsync_each);
+      ASSERT_TRUE(wal.ok()) << wal.status().message();
+      for (int i = 0; i < 3; ++i) {
+        auto written =
+            wal.value().Append({"edge(a" + std::to_string(i) + ", b)"}, {});
+        ASSERT_TRUE(written.ok()) << written.status().message();
+        EXPECT_GT(written.value(), 0u);
+      }
+      EXPECT_EQ(wal.value().last_sequence(), 3u);
     }
-    EXPECT_EQ(wal.value().last_sequence(), 3u);
+    auto reopened = storage::WriteAheadLog::Open(path, fsync_each);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+    EXPECT_FALSE(reopened.value().truncated_torn_tail());
+    ASSERT_EQ(reopened.value().recovered().size(), 3u);
+    EXPECT_EQ(reopened.value().recovered()[2].sequence, 3u);
+    EXPECT_EQ(reopened.value().recovered()[1].added,
+              std::vector<std::string>{"edge(a1, b)"});
   }
-  auto reopened = storage::WriteAheadLog::Open(path, false);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
-  EXPECT_FALSE(reopened.value().truncated_torn_tail());
-  ASSERT_EQ(reopened.value().recovered().size(), 3u);
-  EXPECT_EQ(reopened.value().recovered()[2].sequence, 3u);
-  EXPECT_EQ(reopened.value().recovered()[1].added,
-            std::vector<std::string>{"edge(a1, b)"});
 }
 
 TEST(WalFileTest, TornTailIsTruncatedAndAppendsContinue) {

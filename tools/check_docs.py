@@ -351,7 +351,12 @@ def check_simplify_surface(failures):
 
 # Wire limits the doc quotes as "`name` = <value>" (a KiB/MiB unit is
 # allowed), and the table row each quote must sit in (None = anywhere).
-WIRE_LIMITS = [("kMaxFrameBytes", None), ("kMaxBatchSize", "batch_size")]
+WIRE_LIMITS = [
+    ("kMaxFrameBytes", None),
+    ("kMaxBatchSize", "batch_size"),
+    ("kDefaultBatchSize", "batch_size"),
+    ("kMaxSessionTickets", None),
+]
 UNITS = {"": 1, "KiB": 1024, "MiB": 1024 * 1024}
 
 
@@ -360,7 +365,7 @@ def check_wire_limits(failures):
     doc = WIRE_DOC.read_text()
     for name, row in WIRE_LIMITS:
         declared = re.search(
-            r"constexpr\s+std::uint32_t\s+" + name + r"\s*=\s*([^;]+);",
+            r"constexpr\s+std::\w+\s+" + name + r"\s*=\s*([^;]+);",
             header,
         )
         if not declared:
